@@ -13,9 +13,10 @@ from . import __version__
 from .errors import (ConfigError, DomainError, FitError, FormatError,
                      InsufficientDecayError, ParseError, QuadratureError)
 from .fitting import analyze_series, classify_lineshape, compare_models, fit_voigt
-from .io_formats import (generate_synthetic_series, load_manifest,
-                         load_result_record, load_series, load_spectrum,
-                         save_spectrum, sha256_of_file, write_result_record)
+from .io_formats import (_atomic_write_text, generate_synthetic_series,
+                         load_manifest, load_result_record, load_series,
+                         load_spectrum, save_spectrum, sha256_of_file,
+                         write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
 from .physics import MODEL_KINDS, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
@@ -121,8 +122,7 @@ def _write_curves(args, result, t_lo, t_hi):
         for t in grid:
             f_l = row.model.lorentzian_fwhm(t)
             lines.append(f"{t:.6g},{f_l:.6g},{voigt_fwhm(result.gaussian_floor, f_l):.6g}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _atomic_write_text(path, "\n".join(lines) + "\n")
         _say(args, f"wrote {path}")
 
 
@@ -163,20 +163,40 @@ def cmd_series(args):
     return 0
 
 
+def _finite(value, where, lineno=None):
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"non-numeric {where}: {value!r}", lineno)
+    if not math.isfinite(number):
+        raise ParseError(f"non-finite {where}: {value!r}", lineno)
+    return number
+
+
 def _load_points(path, quantity):
-    """(T, linewidth) pairs from a result record or a bare two-column table."""
+    """(T, linewidth) pairs from a result record or a bare two-column table;
+    every value must be a finite number."""
     try:
         record = load_result_record(path)
     except ParseError:
         record = None
     if isinstance(record, dict):
-        if "per_temperature" not in record:
+        blocks = record.get("per_temperature")
+        if not isinstance(blocks, list):
             raise ParseError(f"record {path} carries no per-temperature fits")
         key = ("total_fwhm_meV" if quantity == "total"
                else "lorentzian_fwhm_meV")
-        points = [(bl["temperature_K"], bl[key])
-                  for bl in record["per_temperature"]]
-        floor = record.get("gaussian_floor_meV", 0.0)
+        points = []
+        for i, block in enumerate(blocks):
+            if not (isinstance(block, dict) and "temperature_K" in block
+                    and key in block):
+                raise ParseError(f"record {path}: per_temperature[{i}] "
+                                 f"lacks temperature_K or {key}")
+            where = f"value in per_temperature[{i}] of {path}"
+            points.append((_finite(block["temperature_K"], where),
+                           _finite(block[key], where)))
+        floor = _finite(record.get("gaussian_floor_meV", 0.0),
+                        f"gaussian_floor_meV in {path}")
         return points, floor
     points = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -188,10 +208,8 @@ def _load_points(path, quantity):
             if len(parts) != 2:
                 raise ParseError("expected 'temperature_K,linewidth_meV'",
                                  lineno)
-            try:
-                points.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ParseError(f"non-numeric field in {text!r}", lineno)
+            points.append(tuple(_finite(v, f"field in {text!r}", lineno)
+                                for v in parts))
     return points, 0.0
 
 
@@ -226,8 +244,7 @@ def cmd_simulate(args):
     lines = ["# t_ps,g_real,g_imag,stderr"]
     for t, g, se in zip(trace.t, trace.g, trace.stderr):
         lines.append(f"{t:.9g},{g.real:.9g},{g.imag:.9g},{se:.9g}")
-    with open(args.output_coherence, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write_text(args.output_coherence, "\n".join(lines) + "\n")
     save_spectrum(spectrum, args.output_spectrum)
     _say(args, f"seed            {config.seed}")
     _say(args, f"fwhm            "

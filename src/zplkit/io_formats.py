@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,23 @@ DEFAULT_TEMPERATURES = tuple(float(t) for t in range(10, 271, 20))
 
 
 def _atomic_write_text(path, text):
+    """Write text through a unique temp file in the target's directory and
+    a rename: readers see the old file or the whole new one, and the temp
+    file is removed if anything fails."""
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0)  # mkstemp creates 0600; keep open()'s mode
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _fmt(value):

@@ -2,8 +2,8 @@
 
 Coherence decay g(t) = <exp(i*phase)> * exp(-gamma*t) under a stationary
 exponentially-correlated (Gauss-Markov) frequency modulation of strength
-`sigma`, plus the analytic static-limit form and an FFT route from coherence
-to an emission spectrum.  Units: rates in 1/ps, times in ps, energies in meV.
+`sigma`, plus its exact Kubo form and an FFT route from coherence to an
+emission spectrum.  Units: rates in 1/ps, times in ps, energies in meV.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ __all__ = ["SimulationConfig", "CoherenceTrace", "analytic_coherence",
 
 _PAD_FACTOR = 8  # zero padding of the symmetric trace before the FFT
 _DECAY_REQUIRED = 1e-6
+_BLOCK = 1024  # Monte-Carlo trajectories per random stream
+_BATCH_BLOCKS = 4  # blocks advanced together; bounds working memory
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,23 @@ class CoherenceTrace:
                               "statistical error")
 
 
-def analytic_coherence(sigma, gamma, t_grid) -> CoherenceTrace:
-    """Static-limit coherence exp(-sigma^2 t^2 / 2) * exp(-gamma |t|)."""
-    if sigma < 0 or gamma < 0:
+def analytic_coherence(sigma, gamma, t_grid,
+                       correlation_rate=None) -> CoherenceTrace:
+    """Exact coherence under Gauss-Markov modulation, times exp(-gamma |t|).
+
+    Kubo's form exp[-(sigma/lam)^2 (lam|t| - 1 + exp(-lam|t|))] for
+    correlation rate lam; None or 0 gives the static exp(-sigma^2 t^2 / 2).
+    """
+    lam = correlation_rate or 0.0
+    if sigma < 0 or gamma < 0 or lam < 0:
         raise DomainError("rates must be non-negative")
     t = np.asarray(t_grid, dtype=float)
-    g = np.exp(-0.5 * (sigma * t) ** 2) * np.exp(-gamma * np.abs(t))
+    x = lam * np.abs(t)
+    # (x - 1 + e^-x) / x^2, by its Taylor series where expm1 would cancel
+    shape = 0.5 - x / 6.0 + x * x / 24.0 - x ** 3 / 120.0
+    big = x >= 3e-3
+    shape[big] = (x[big] + np.expm1(-x[big])) / x[big] ** 2
+    g = np.exp(-(sigma * t) ** 2 * shape) * np.exp(-gamma * np.abs(t))
     return CoherenceTrace(t=t, g=g.astype(complex))
 
 
@@ -151,64 +164,50 @@ def spectrum_from_coherence(trace, center) -> Spectrum:
                     temperature=0.0, emitter_id="simulated")
 
 
-def _trajectory_batches(n_trajectories, n_draws):
-    # keep per-batch noise under ~16M doubles
-    batch = max(1, min(n_trajectories, int(2e7 / max(n_draws, 1))))
-    start = 0
-    while start < n_trajectories:
-        yield start, min(start + batch, n_trajectories)
-        start += batch
-
-
 def mc_coherence(config) -> CoherenceTrace:
     """Monte-Carlo coherence from exact Gauss-Markov field trajectories.
 
-    Each trajectory evolves the unit-variance field e by the exact update
-    e' = rho*e + sqrt(1-rho^2)*xi with rho = exp(-correlation_rate*dt), and
-    accumulates the phase by the trapezoid rule.  Trajectory i draws from
-    its own substream spawned as (seed, i), so results are independent of
-    batching and scheduling.  stderr is the per-point standard error of the
-    complex ensemble mean.
-    """
-    n_steps = config.n_steps
-    n_pts = n_steps + 1
+    The unit-variance field takes the exact step e' = rho*e + sqrt(1-rho^2)*xi
+    with rho = exp(-correlation_rate*dt); the phase follows by the trapezoid
+    rule.  Block b of _BLOCK trajectories draws from a Philox stream keyed by
+    (seed, b) (Salmon et al. 2011); block sums are added in block order, so
+    results do not depend on batching.  stderr is that of the complex mean,
+    whose variance is n(1 - |mean|^2)/(n - 1) as |z| = 1."""
+    n_pts = config.n_steps + 1
     n_traj = config.n_trajectories
     rho = np.exp(-config.correlation_rate * config.dt)
-    kick = np.sqrt(max(0.0, 1.0 - rho * rho))
     half_dt_sigma = 0.5 * config.dt * config.sigma
+    kick = half_dt_sigma * np.sqrt(max(0.0, 1.0 - rho * rho))
+    sums = np.zeros((n_pts, 2))  # sums of cos(phase) and sin(phase)
+    for first in range(0, -(-n_traj // _BLOCK), _BATCH_BLOCKS):
+        size = min(_BATCH_BLOCKS * _BLOCK, n_traj - first * _BLOCK)
+        offsets = np.arange(0, size, _BLOCK)
+        gens = [np.random.Generator(np.random.Philox(key=[config.seed, b]))
+                for b in range(first, first + offsets.size)]
+        noise, phase, z = np.empty(size), np.zeros(size), np.empty((2, size))
+        block_sums = np.empty((n_pts, 2, offsets.size))
+        for k in range(n_pts):
+            for gen, a in zip(gens, offsets):
+                gen.standard_normal(out=noise[a:a + _BLOCK])
+            if k == 0:  # stationary start; field kept scaled by dt*sigma/2
+                field = noise * half_dt_sigma
+            else:
+                phase += field
+                field *= rho
+                noise *= kick
+                field += noise
+                phase += field
+            np.cos(phase, out=z[0])  # z = (Re, Im) of exp(i*phase)
+            np.sin(phase, out=z[1])
+            np.add.reduceat(z, offsets, axis=1, out=block_sums[k])
+        for j in range(offsets.size):
+            sums += block_sums[:, :, j]
 
-    sum_z = np.zeros(n_pts, dtype=complex)
-    sum_re2 = np.zeros(n_pts)
-    sum_im2 = np.zeros(n_pts)
-    for lo, hi in _trajectory_batches(n_traj, n_pts):
-        noise = np.empty((hi - lo, n_pts))
-        for i in range(lo, hi):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
-            noise[i - lo] = rng.standard_normal(n_pts)
-        field = noise[:, 0].copy()  # stationary start, unit variance
-        phase = np.zeros(hi - lo)
-        sum_z[0] += hi - lo
-        sum_re2[0] += hi - lo
-        for k in range(1, n_pts):
-            new_field = rho * field + kick * noise[:, k]
-            phase += half_dt_sigma * (field + new_field)
-            field = new_field
-            z = np.exp(1j * phase)
-            sum_z[k] += z.sum()
-            sum_re2[k] += (z.real ** 2).sum()
-            sum_im2[k] += (z.imag ** 2).sum()
-
-    mean = sum_z / n_traj
-    t = config.t_grid
-    damp = np.exp(-config.gamma * t)
-    if n_traj > 1:
-        var_re = (sum_re2 - n_traj * mean.real ** 2) / (n_traj - 1)
-        var_im = (sum_im2 - n_traj * mean.imag ** 2) / (n_traj - 1)
-        stderr = np.sqrt(np.clip(var_re + var_im, 0.0, None) / n_traj) * damp
-    else:
-        stderr = np.zeros(n_pts)
-    return CoherenceTrace(t=t, g=mean * damp, stderr=stderr)
+    mean = (sums[:, 0] + 1j * sums[:, 1]) / n_traj
+    damp = np.exp(-config.gamma * config.t_grid)
+    spread = np.clip(1.0 - np.abs(mean) ** 2, 0.0, None)
+    stderr = np.sqrt(spread / (n_traj - 1)) if n_traj > 1 else np.zeros(n_pts)
+    return CoherenceTrace(t=config.t_grid, g=mean * damp, stderr=stderr * damp)
 
 
 def simulate_spectrum(config, center) -> Spectrum:

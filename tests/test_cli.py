@@ -175,6 +175,19 @@ def test_exit_codes(tmp_path):
     result = run_cli("simulate", "--sigma", "0", "--gamma", "0",
                      "--t-max", "1", "--dt", "0.01", cwd=tmp_path)
     assert result.returncode == 1
+    # parse errors in compare input: a record block without the linewidth,
+    # and a table with a non-finite linewidth
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps({"per_temperature": [
+        {"temperature_K": 10.0, "total_fwhm_meV": 0.8},
+        {"temperature_K": 30.0}]}))
+    table = tmp_path / "table.csv"
+    table.write_text("10,0.8\n30,nan\n50,1.2\n70,1.9\n")
+    for path in (record, table):
+        result = run_cli("compare", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: parse:")
+        assert len(result.stderr.splitlines()) == 1
     # usage error
     result = run_cli("frobnicate")
     assert result.returncode == 1

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -95,6 +96,30 @@ def test_result_record_round_trip_and_rounding(tmp_path):
     assert loaded["value"] == float(f"{0.123456789012345678:.12g}")
     write_result_record(loaded, path)
     assert path.read_bytes() == first
+
+
+def test_atomic_write_failure_leaves_target_and_no_temp_file(
+        tmp_path, monkeypatch):
+    from zplkit import io_formats
+    path = tmp_path / "r.json"
+    write_result_record({"kind": "old"}, path)
+    before = path.read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+    with pytest.raises(UnicodeEncodeError):  # fails inside the write
+        io_formats._atomic_write_text(path, "partial \ud800 text")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["r.json"]
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(io_formats.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        write_result_record({"kind": "new"}, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["r.json"]
 
 
 def test_generate_synthetic_series_default_grid(tmp_path):

@@ -95,17 +95,46 @@ def test_mc_slow_modulation_matches_static_limit():
     assert np.all(diff <= 3.0 * trace.stderr[mask])
 
 
+def test_analytic_coherence_kubo_limits():
+    t = np.linspace(0.0, 20.0, 201)
+    static = analytic_coherence(1.0, 0.3, t).g
+    assert np.array_equal(analytic_coherence(1.0, 0.3, t, 0.0).g, static)
+    # slow modulation: the static limit, off by at most lam*t^3/6 in the
+    # exponent
+    slow = analytic_coherence(1.0, 0.3, t, correlation_rate=1e-6).g
+    assert np.max(np.abs(slow - static)) < 1e-6
+    # fast modulation: motional narrowing to exp(-sigma^2 t / lam)
+    lam = 1e4
+    fast = analytic_coherence(1.0, 0.3, t, correlation_rate=lam).g
+    narrowed = np.exp(-t / lam - 0.3 * t)
+    assert np.allclose(fast.real, narrowed, rtol=2.0 / lam ** 2, atol=0.0)
+    with pytest.raises(DomainError):
+        analytic_coherence(1.0, 0.0, t, correlation_rate=-1.0)
+
+
 def test_mc_fast_modulation_motional_narrowing():
-    # correlation rate 100x the modulation strength: decay rate -> sigma^2/lam
-    sigma, lam = 1.0, 100.0
+    # correlation rate 10x the modulation strength, well into motional
+    # narrowing; every point within 3 standard errors of the exact form
+    sigma, lam = 1.0, 10.0
     config = SimulationConfig(sigma=sigma, gamma=0.0, correlation_rate=lam,
-                              t_max=20.0, dt=0.001, n_trajectories=2000,
+                              t_max=20.0, dt=0.01, n_trajectories=2000,
                               seed=5)
     trace = mc_coherence(config)
-    mask = trace.t >= 1.0
-    slope = np.polyfit(trace.t[mask], np.log(trace.g.real[mask]), 1)[0]
-    expected = -sigma ** 2 / lam
-    assert abs(slope - expected) / abs(expected) < 0.10
+    kubo = analytic_coherence(sigma, 0.0, trace.t, correlation_rate=lam)
+    mask = trace.t > 0
+    diff = np.abs(trace.g[mask] - kubo.g[mask])
+    assert np.all(diff <= 3.0 * trace.stderr[mask])
+
+
+def test_mc_independent_of_batching(monkeypatch):
+    from zplkit import simulate
+    config = _config(n_trajectories=2 * simulate._BLOCK + 37, seed=4)
+    assert simulate._BATCH_BLOCKS >= 3  # one batch holds every block
+    default = mc_coherence(config)
+    monkeypatch.setattr(simulate, "_BATCH_BLOCKS", 1)
+    one_block = mc_coherence(config)
+    assert default.g.tobytes() == one_block.g.tobytes()
+    assert default.stderr.tobytes() == one_block.stderr.tobytes()
 
 
 def test_mc_determinism_and_stderr_scaling():
