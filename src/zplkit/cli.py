@@ -173,9 +173,20 @@ def _finite(value, where, lineno=None):
     return number
 
 
+def _linewidth(value, quantity, where, lineno=None):
+    # a total FWHM is positive; a Lorentzian component may sit on its
+    # bound of zero, as fits of pure Gaussian lines report it
+    number = _finite(value, where, lineno)
+    if number < 0 or (quantity == "total" and number == 0):
+        raise ParseError(f"invalid {quantity} linewidth {where}: {value!r}",
+                         lineno)
+    return number
+
+
 def _load_points(path, quantity):
     """(T, linewidth) pairs from a result record or a bare two-column table;
-    every value must be a finite number."""
+    every value must be a finite number, a total linewidth positive and a
+    Lorentzian one non-negative."""
     try:
         record = load_result_record(path)
     except ParseError:
@@ -194,7 +205,7 @@ def _load_points(path, quantity):
                                  f"lacks temperature_K or {key}")
             where = f"value in per_temperature[{i}] of {path}"
             points.append((_finite(block["temperature_K"], where),
-                           _finite(block[key], where)))
+                           _linewidth(block[key], quantity, where)))
         floor = _finite(record.get("gaussian_floor_meV", 0.0),
                         f"gaussian_floor_meV in {path}")
         return points, floor
@@ -208,8 +219,9 @@ def _load_points(path, quantity):
             if len(parts) != 2:
                 raise ParseError("expected 'temperature_K,linewidth_meV'",
                                  lineno)
-            points.append(tuple(_finite(v, f"field in {text!r}", lineno)
-                                for v in parts))
+            where = f"field in {text!r}"
+            points.append((_finite(parts[0], where, lineno),
+                           _linewidth(parts[1], quantity, where, lineno)))
     return points, 0.0
 
 

@@ -12,10 +12,10 @@ import numpy as np
 from . import physics
 from .errors import (DomainError, InsufficientDataError, NoPeakError,
                      NotConvergedError)
-from .lineshape import (GAUSSIAN_FWHM_FACTOR, VoigtParams, gamma_from_fwhm,
-                        gaussian_profile, grid_fwhm, invert_voigt_fwhm,
-                        sigma_from_fwhm, voigt_fwhm, voigt_profile,
-                        voigt_value_and_derivatives)
+from .lineshape import (_FWHM_CL, _FWHM_CQ, GAUSSIAN_FWHM_FACTOR,
+                        VoigtParams, gamma_from_fwhm, grid_fwhm,
+                        invert_voigt_fwhm, sigma_from_fwhm, voigt_fwhm,
+                        voigt_profile, voigt_value_and_derivatives)
 from .optimize import least_squares
 
 __all__ = [
@@ -25,10 +25,6 @@ __all__ = [
     "fit_series", "compare_models", "analyze_series",
     "build_voigt_problem", "build_series_problem",
 ]
-
-_FWHM_CL = 0.5346
-_FWHM_CQ = 0.2166
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -128,86 +124,78 @@ class SeriesFitResult:
 # per-spectrum Voigt fitting
 # ---------------------------------------------------------------------------
 
-_MODE_PARAMS = {
-    "voigt": ("center", "u_g", "u_l", "amplitude", "baseline"),
-    "gaussian": ("center", "u_g", "amplitude", "baseline"),
-    "lorentzian": ("center", "u_l", "amplitude", "baseline"),
+# Free width parameters per fit mode, with the kernel partial each one
+# needs and its chain factor.  The Gaussian width enters as f_G^2: the
+# profile is even in sigma, so at f_G = 0 every f_G-derivative vanishes
+# and a fit that reached that bound could never leave it, while d/d(f_G^2)
+# is finite there.  A width not listed is pinned at zero.
+_MODE_WIDTHS = {
+    "voigt": ("gaussian", "lorentzian"),
+    "gaussian": ("gaussian",),
+    "lorentzian": ("lorentzian",),
 }
-
-
-def _profile_and_grads(x, mode, u_g, u_l):
-    """Density and partials wrt (x, u_g, u_l); widths enter as fwhm = u^2."""
-    if mode == "gaussian":
-        sigma = sigma_from_fwhm(u_g * u_g)
-        if sigma == 0:
-            raise DomainError("zero Gaussian width")
-        value = gaussian_profile(x, sigma)
-        d_dx = -(x / sigma ** 2) * value
-        d_dsigma = (x * x / sigma ** 3 - 1.0 / sigma) * value
-        d_ug = d_dsigma * (2.0 * u_g / GAUSSIAN_FWHM_FACTOR)
-        return value, d_dx, d_ug, None
-    if mode == "lorentzian":
-        gamma = gamma_from_fwhm(u_l * u_l)
-        if gamma == 0:
-            raise DomainError("zero Lorentzian width")
-        denom = x * x + gamma * gamma
-        value = (gamma / np.pi) / denom
-        d_dx = -2.0 * x * gamma / (np.pi * denom * denom)
-        d_dgamma = (x * x - gamma * gamma) / (np.pi * denom * denom)
-        return value, d_dx, None, d_dgamma * u_l
-    sigma = sigma_from_fwhm(u_g * u_g)
-    gamma = gamma_from_fwhm(u_l * u_l)
-    value, d_dx, d_dsigma, d_dgamma = voigt_value_and_derivatives(x, sigma, gamma)
-    d_ug = d_dsigma * (2.0 * u_g / GAUSSIAN_FWHM_FACTOR)
-    d_ul = d_dgamma * u_l
-    return value, d_dx, d_ug, d_ul
+_WIDTH_PARTIAL = {"gaussian": ("variance", 1.0 / GAUSSIAN_FWHM_FACTOR ** 2),
+                  "lorentzian": ("gamma", 0.5)}
 
 
 def build_voigt_problem(spectrum, mode="voigt", weighted=True):
     """Residual and Jacobian closures for the damped least-squares engine.
 
-    Exposed so tests can verify the analytic Jacobian against central finite
-    differences.  Residuals are sqrt(w) * (model - intensity) with Poisson
-    weights w = 1/max(I, 1) unless `weighted` is False.
+    Parameters are (center, widths..., amplitude, baseline); the widths
+    are the mode's free components, as gaussian_fwhm**2 and
+    lorentzian_fwhm, both bounded below by zero.  Exposed so tests can
+    verify the analytic Jacobian against central finite differences.
+    Residuals are sqrt(w) * (model - intensity) with Poisson weights
+    w = 1/max(I, 1) unless `weighted` is False.  The Faddeeva values of
+    the latest residual evaluation are kept until the next evaluation, so
+    the Jacobian at the point just accepted reuses them.
     """
-    if mode not in _MODE_PARAMS:
+    if mode not in _MODE_WIDTHS:
         raise DomainError(f"unknown fit mode {mode!r}")
+    widths = _MODE_WIDTHS[mode]
+    columns = ("x",) + tuple(_WIDTH_PARTIAL[name][0] for name in widths)
     energy = spectrum.energy
     intensity = spectrum.intensity
     sqrt_w = (1.0 / np.sqrt(np.maximum(intensity, 1.0)) if weighted
               else np.ones_like(intensity))
+    latest = {}
 
     def unpack(p):
-        if mode == "voigt":
-            center, u_g, u_l, amplitude, baseline = p
-        elif mode == "gaussian":
-            center, u_g, amplitude, baseline = p
-            u_l = 0.0
-        else:
-            center, u_l, amplitude, baseline = p
-            u_g = 0.0
-        return center, u_g, u_l, amplitude, baseline
+        """(center, gaussian_fwhm, lorentzian_fwhm, amplitude, baseline)."""
+        width = dict(zip(widths, p[1:-2]))
+        if min(width.values()) < 0:
+            raise DomainError("widths must be non-negative")
+        return (p[0], math.sqrt(width.get("gaussian", 0.0)),
+                width.get("lorentzian", 0.0), p[-2], p[-1])
+
+    def profile(p, wanted):
+        center, f_g, f_l, _, _ = unpack(p)
+        key = tuple(p)
+        w = latest.pop(key, None)
+        latest.clear()  # before the evaluation: one w is held at a time
+        value, partials, w = voigt_value_and_derivatives(
+            energy - center, sigma_from_fwhm(f_g), gamma_from_fwhm(f_l),
+            columns=wanted, w=w)
+        if not wanted:  # a residual: the Jacobian may follow at its point
+            latest[key] = w
+        return value, partials
 
     def residual(p):
-        center, u_g, u_l, amplitude, baseline = unpack(p)
         try:
-            value, _, _, _ = _profile_and_grads(energy - center, mode, u_g, u_l)
+            value, _ = profile(p, ())
         except DomainError:
             return np.full(energy.size, np.inf)
+        amplitude, baseline = p[-2], p[-1]
         return sqrt_w * (baseline + amplitude * value - intensity)
 
     def jacobian(p):
-        center, u_g, u_l, amplitude, baseline = unpack(p)
-        value, d_dx, d_ug, d_ul = _profile_and_grads(
-            energy - center, mode, u_g, u_l)
-        columns = [-amplitude * d_dx]
-        if mode in ("voigt", "gaussian"):
-            columns.append(amplitude * d_ug)
-        if mode in ("voigt", "lorentzian"):
-            columns.append(amplitude * d_ul)
-        columns.append(value)
-        columns.append(np.ones_like(value))
-        return sqrt_w[:, None] * np.stack(columns, axis=1)
+        value, (d_dx, *d_widths) = profile(p, columns)
+        amplitude = p[-2]
+        matrix = [-amplitude * d_dx]
+        matrix += [amplitude * _WIDTH_PARTIAL[name][1] * d
+                   for name, d in zip(widths, d_widths)]
+        matrix += [value, np.ones_like(value)]
+        return sqrt_w[:, None] * np.stack(matrix, axis=1)
 
     return residual, jacobian, unpack
 
@@ -252,111 +240,53 @@ def _initial_guess(spectrum):
     return VoigtParams(center, half, half, float(max(amp, 1e-30)), baseline)
 
 
-def _run_mode(spectrum, start, mode, weighted, max_iterations):
-    """One damped fit of the given shape family; returns a VoigtFit or the
-    unconverged optimizer result (flagged by converged=False)."""
-    residual, jacobian, unpack = build_voigt_problem(spectrum, mode, weighted)
-    names = _MODE_PARAMS[mode]
-    p0 = {"center": start.center, "u_g": math.sqrt(start.gaussian_fwhm),
-          "u_l": math.sqrt(start.lorentzian_fwhm),
-          "amplitude": start.amplitude, "baseline": start.baseline}
-    result = least_squares(residual, jacobian, [p0[k] for k in names],
-                           max_iterations=max_iterations)
-    center, u_g, u_l, amplitude, baseline = unpack(result.params)
-    sd = np.sqrt(np.clip(np.diag(result.covariance), 0.0, None))
-    errs = dict(zip(names, sd))
-    params = VoigtParams(center, u_g * u_g, u_l * u_l,
-                         max(amplitude, 0.0), baseline)
-    # a width pinned at zero by the mode was not estimated at all: its
-    # uncertainty is infinite, not zero
-    uncertainties = VoigtParams(
-        center=errs["center"],
-        gaussian_fwhm=2.0 * abs(u_g) * errs["u_g"] if "u_g" in errs
-        else math.inf,
-        lorentzian_fwhm=2.0 * abs(u_l) * errs["u_l"] if "u_l" in errs
-        else math.inf,
-        amplitude=errs["amplitude"],
-        baseline=errs["baseline"])
-    return VoigtFit(params=params, uncertainties=uncertainties,
-                    rss=result.rss, n_points=spectrum.n_points,
-                    converged=result.converged,
-                    n_iterations=result.n_iterations, mode=mode)
-
-
 def fit_voigt(spectrum, init: Optional[VoigtParams] = None, weighted=True,
               mode="voigt", max_iterations=500) -> VoigtFit:
     """Fit one Voigt line (plus flat baseline) to a spectrum.
 
-    Width parameters are optimized through a squared reparameterization so
-    they stay non-negative.  `mode` restricts the shape: "gaussian" pins the
-    Lorentzian FWHM to zero, "lorentzian" pins the Gaussian FWHM to zero.
-    A full "voigt" fit whose solution collapses onto a pure shape is
-    polished against the corresponding restricted fit, because the squared
-    widths turn the boundary into a flat saddle.
+    One solve of the projected damped least-squares engine under the
+    bounds f_G >= 0 and f_L >= 0, with no restarts: a pure shape ends
+    exactly on its bound.  The Lorentzian width is fitted as f_L and the
+    Gaussian one as f_G**2, in which the profile is smooth down to zero
+    (see build_voigt_problem).  `mode` restricts the shape: "gaussian"
+    pins the Lorentzian FWHM to zero, "lorentzian" pins the Gaussian FWHM
+    to zero.  A width pinned by the mode or ending on its bound was not
+    estimated: its uncertainty is infinite.
 
     Raises NoPeakError for structureless input and NotConvergedError when
     the iteration cap is hit.
     """
     if init is None:
         init = _initial_guess(spectrum)
-    total_init = init.gaussian_fwhm + init.lorentzian_fwhm
-    if mode == "gaussian":
-        start = VoigtParams(init.center, total_init, 0.0, init.amplitude,
-                            init.baseline)
-    elif mode == "lorentzian":
-        start = VoigtParams(init.center, 0.0, total_init, init.amplitude,
-                            init.baseline)
-    else:
-        start = init
-
-    best = _run_mode(spectrum, start, mode, weighted, max_iterations)
+    residual, jacobian, unpack = build_voigt_problem(spectrum, mode, weighted)
+    widths = _MODE_WIDTHS[mode]
     if mode == "voigt":
-        f_g = best.params.gaussian_fwhm
-        f_l = best.params.lorentzian_fwhm
-        total = voigt_fwhm(f_g, f_l)
-        near_boundary = total > 0 and min(f_g, f_l) < 0.02 * total
-        if near_boundary or not best.converged:
-            candidates = [best] if best.converged else []
-            if total > 0:
-                # kicked restart probes the mixed-width basin
-                kicked_fg = 0.3 * total
-                kicked = VoigtParams(best.params.center, kicked_fg,
-                                     invert_voigt_fwhm(total, kicked_fg),
-                                     max(best.params.amplitude, 1e-30),
-                                     best.params.baseline)
-                retry = _run_mode(spectrum, kicked, "voigt", weighted,
-                                  max_iterations)
-                if retry.converged:
-                    candidates.append(retry)
-            # boundary polish: the restricted family reaches the exact
-            # boundary the full parameterization only creeps toward
-            restricted_mode = "lorentzian" if f_g <= f_l else "gaussian"
-            wide = max(total, total_init)
-            amp0 = max(best.params.amplitude, init.amplitude)
-            if restricted_mode == "lorentzian":
-                restricted_start = VoigtParams(best.params.center, 0.0, wide,
-                                               amp0, best.params.baseline)
-            else:
-                restricted_start = VoigtParams(best.params.center, wide, 0.0,
-                                               amp0, best.params.baseline)
-            polished = _run_mode(spectrum, restricted_start,
-                                 restricted_mode, weighted, max_iterations)
-            if polished.converged:
-                candidates.append(polished)
-            if not candidates:
-                raise NotConvergedError(
-                    f"Voigt fit hit the {max_iterations}-iteration cap")
-            best = min(candidates, key=lambda f: f.rss)
-            best = VoigtFit(params=best.params,
-                            uncertainties=best.uncertainties, rss=best.rss,
-                            n_points=best.n_points, converged=best.converged,
-                            n_iterations=best.n_iterations, mode="voigt")
-    if not best.converged:
+        start = [init.gaussian_fwhm ** 2, init.lorentzian_fwhm]
+    else:
+        total = init.gaussian_fwhm + init.lorentzian_fwhm
+        start = [total ** 2 if mode == "gaussian" else total]
+    p0 = [init.center, *start, init.amplitude, init.baseline]
+    lower = [-math.inf] + [0.0] * len(widths) + [-math.inf, -math.inf]
+    result = least_squares(residual, jacobian, p0,
+                           max_iterations=max_iterations, lower=lower)
+    if not result.converged:
         raise NotConvergedError(
             f"Voigt fit hit the {max_iterations}-iteration cap")
-    if best.params.amplitude <= 0:
+    center, f_g, f_l, amplitude, baseline = unpack(result.params)
+    if amplitude <= 0:
         raise NoPeakError("fit collapsed to a non-positive amplitude")
-    return best
+    sd = np.sqrt(np.clip(np.diag(result.covariance), 0.0, None))
+    # a width pinned by the mode, or on its bound, has infinite uncertainty
+    errs = {"gaussian": math.inf, "lorentzian": math.inf}
+    errs.update(zip(widths, sd[1:-2]))
+    if f_g > 0:
+        errs["gaussian"] /= 2.0 * f_g  # from the error of f_G^2
+    return VoigtFit(
+        params=VoigtParams(center, f_g, f_l, amplitude, baseline),
+        uncertainties=VoigtParams(sd[0], errs["gaussian"],
+                                  errs["lorentzian"], sd[-2], sd[-1]),
+        rss=result.rss, n_points=spectrum.n_points, converged=True,
+        n_iterations=result.n_iterations, mode=mode)
 
 
 def classify_lineshape(spectrum, weighted=True, ratio_gate=1.2

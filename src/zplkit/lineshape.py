@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonUnimodalError
-from .numerics import faddeeva, faddeeva_derivative
+from .numerics import faddeeva, faddeeva_derivatives
 
 __all__ = [
     "GAUSSIAN_FWHM_FACTOR", "VoigtParams",
@@ -61,45 +61,59 @@ def voigt_profile(x, sigma, gamma):
     Degenerates exactly to the Gaussian for gamma == 0 and to the Lorentzian
     for sigma == 0.
     """
-    if sigma < 0 or gamma < 0:
-        raise DomainError("widths must be non-negative")
-    if sigma == 0 and gamma == 0:
-        raise DomainError("sigma and gamma cannot both be zero")
-    if gamma == 0:
-        return gaussian_profile(x, sigma)
-    if sigma == 0:
-        return lorentzian_profile(x, gamma)
-    x = np.asarray(x, dtype=float)
-    z = (x + 1j * gamma) / (sigma * np.sqrt(2.0))
-    return faddeeva(z).real / (sigma * _SQRT_2PI)
+    return voigt_value_and_derivatives(x, sigma, gamma, columns=())[0]
 
 
-def voigt_value_and_derivatives(x, sigma, gamma):
-    """Voigt density and its partials (dV/dx, dV/dsigma, dV/dgamma).
+def voigt_value_and_derivatives(x, sigma, gamma,
+                                columns=("x", "variance", "gamma"), w=None):
+    """Voigt density, its partials along `columns`, and the Faddeeva values.
 
-    Used by the fit engine; handles the sigma == 0 boundary analytically
-    (dV/dsigma vanishes there because V is even in sigma).
+    `columns` names the partials wanted: "x", "variance" (d/d(sigma^2)) and
+    "gamma"; only those are computed and they come back as a tuple in that
+    order.  The variance partial is V_xx / 2 (heat equation), which stays
+    finite and cancellation-free as sigma -> 0, where dV/dsigma vanishes.
+    The third return value is w(z) (None on a closed-form branch): passing
+    it back as `w` at the same (x, sigma, gamma) skips the Faddeeva
+    evaluation.  sigma == 0 is the Lorentzian closed form; gamma == 0
+    without a "gamma" column is the Gaussian closed form.
     """
     x = np.asarray(x, dtype=float)
     if sigma < 0 or gamma < 0:
         raise DomainError("widths must be non-negative")
+    if sigma == 0 and gamma == 0:
+        raise DomainError("sigma and gamma cannot both be zero")
     if sigma == 0:
-        if gamma == 0:
-            raise DomainError("sigma and gamma cannot both be zero")
+        w = None
         denom = x * x + gamma * gamma
         value = (gamma / np.pi) / denom
-        d_dx = -2.0 * x * gamma / (np.pi * denom * denom)
-        d_dgamma = (x * x - gamma * gamma) / (np.pi * denom * denom)
-        return value, d_dx, np.zeros_like(value), d_dgamma
-    z = (x + 1j * gamma) / (sigma * np.sqrt(2.0))
-    w = faddeeva(z)
-    wp = faddeeva_derivative(z, w)
-    value = w.real / (sigma * _SQRT_2PI)
-    scale = 1.0 / (sigma * np.sqrt(2.0) * sigma * _SQRT_2PI)
-    d_dx = wp.real * scale
-    d_dgamma = -wp.imag * scale
-    d_dsigma = -(wp * z).real / (sigma * sigma * _SQRT_2PI) - value / sigma
-    return value, d_dx, d_dsigma, d_dgamma
+        partials = {
+            "x": lambda: -2.0 * x * gamma / (np.pi * denom * denom),
+            "variance": lambda: ((gamma / np.pi) * (3.0 * x * x - gamma * gamma)
+                                 / denom ** 3),
+            "gamma": lambda: (x * x - gamma * gamma) / (np.pi * denom * denom),
+        }
+    elif gamma == 0 and "gamma" not in columns:
+        w = None
+        value = gaussian_profile(x, sigma)
+        partials = {
+            "x": lambda: -(x / sigma ** 2) * value,
+            "variance": lambda: 0.5 * (x * x / sigma ** 4
+                                       - 1.0 / sigma ** 2) * value,
+        }
+    else:
+        z = (x + 1j * gamma) / (sigma * np.sqrt(2.0))
+        if w is None:
+            w = faddeeva(z)
+        value = w.real / (sigma * _SQRT_2PI)
+        if columns:
+            wp, wpp = faddeeva_derivatives(z, w)
+            scale = 1.0 / (sigma * np.sqrt(2.0) * sigma * _SQRT_2PI)
+        partials = {
+            "x": lambda: wp.real * scale,
+            "variance": lambda: wpp.real / (4.0 * sigma ** 3 * _SQRT_2PI),
+            "gamma": lambda: -wp.imag * scale,
+        }
+    return value, tuple(partials[name]() for name in columns), w
 
 
 def voigt_fwhm(gaussian_fwhm, lorentzian_fwhm):

@@ -1,15 +1,16 @@
 """Low-level numerical kernels: complex error function and adaptive quadrature.
 
 Both are self-contained so the rest of the package carries no dependency
-beyond numpy.  Accuracy of the Faddeeva evaluator is enforced downstream by a
-brute-force convolution cross-check rather than assumed here.
+beyond numpy.  Accuracy of the Faddeeva evaluator and its derivatives is
+enforced by the tests against mpmath and, downstream, by a brute-force
+convolution cross-check rather than assumed here.
 """
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["faddeeva", "faddeeva_derivative", "adaptive_gauss_kronrod"]
+__all__ = ["faddeeva", "faddeeva_derivatives", "adaptive_gauss_kronrod"]
 
 _SQRT_PI = np.sqrt(np.pi)
 
@@ -26,35 +27,87 @@ def _weideman_coefficients(n_terms):
     samples = np.zeros(idx.size + 1)
     samples[1:] = np.exp(-t * t) * (pole * pole + t * t)
     coeffs = np.fft.fft(np.fft.fftshift(samples)).real / (2.0 * m)
-    # highest order first, for polyval
+    # highest order first, for Horner's rule
     return pole, coeffs[1:n_terms + 1][::-1].copy()
 
 
-_FADDEEVA_POLE, _FADDEEVA_COEFFS = _weideman_coefficients(48)
+# 36 terms: within 1e-14 relative of an mpmath reference over the upper half
+# plane.  34 terms miss |w(0) - 1| <= 1e-14; 35 pass it but sit at 3e-14.
+_FADDEEVA_POLE, _FADDEEVA_COEFFS = _weideman_coefficients(36)
+
+
+def _horner(coeffs, x):
+    """Polynomial with `coeffs` (highest order first, >= 2 of them) at x,
+    in place: one buffer instead of two temporaries per term."""
+    out = coeffs[0] * x
+    for coeff in coeffs[1:-1]:
+        out += coeff
+        out *= x
+    out += coeffs[-1]
+    return out
 
 
 def faddeeva(z):
     """Scaled complex error function w(z) = exp(-z^2) erfc(-iz), Im(z) >= 0.
 
-    Vectorized rational approximation; relative accuracy is far below 1e-10
+    Vectorized rational approximation; relative accuracy is far below 1e-12
     over the upper half plane including the real axis.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0):
         raise DomainError("faddeeva requires Im(z) >= 0")
     iz = 1j * z
-    denom = _FADDEEVA_POLE - iz
-    ratio = (_FADDEEVA_POLE + iz) / denom
-    poly = np.polyval(_FADDEEVA_COEFFS, ratio)
-    return 2.0 * poly / (denom * denom) + (1.0 / _SQRT_PI) / denom
+    inv = 1.0 / (_FADDEEVA_POLE - iz)
+    poly = _horner(_FADDEEVA_COEFFS, (_FADDEEVA_POLE + iz) * inv)
+    poly *= 2.0 * inv
+    poly += 1.0 / _SQRT_PI
+    poly *= inv
+    return poly
 
 
-def faddeeva_derivative(z, w=None):
-    """dw/dz = -2 z w(z) + 2i/sqrt(pi); pass w to reuse a computed value."""
+def _asymptotic_derivative_coefficients(n_terms):
+    # w(z) ~ (i/sqrt(pi)) sum_k a_k z^-(2k+1) with a_k = (2k-1)!!/2^k, so
+    # w' and z w'' are polynomials in t = z^-2 with no constant term; their
+    # coefficients, highest order first for Horner's rule
+    a = np.cumprod([1.0] + [(2 * k - 1) / 2.0 for k in range(1, n_terms)])
+    order = 2.0 * np.arange(n_terms) + 1.0
+    d1 = np.append((-order * a)[::-1], 0.0) * (1j / _SQRT_PI)
+    d2 = np.append((order * (order + 1.0) * a)[::-1], 0.0) * (1j / _SQRT_PI)
+    return d1, d2
+
+
+# Beyond |z| = 20 eight terms are within 1e-14 relative; inside, the
+# recurrences scale the ~1e-14 error of w by |z|^2 and |z|^4: at most ~3e-12
+# for w' and ~1e-9 for w'' (checked against mpmath).
+_ASYMPTOTIC_RADIUS = 20.0
+_ASYMPTOTIC_D1, _ASYMPTOTIC_D2 = _asymptotic_derivative_coefficients(8)
+
+
+def faddeeva_derivatives(z, w=None):
+    """(dw/dz, d^2w/dz^2); pass w = faddeeva(z) to reuse a computed value.
+
+    Uses w' = -2 z w + 2i/sqrt(pi) and w'' = -2 w - 2 z w'.  Both cancel
+    at large |z|, where w' ~ -i/(sqrt(pi) z^2) is the small difference of
+    O(1) terms (relative error ~ eps |z|^2, and ~ eps |z|^4 for w''), so
+    beyond |z| = 20 the asymptotic series is used instead.
+    """
     z = np.asarray(z, dtype=complex)
     if w is None:
         w = faddeeva(z)
-    return -2.0 * z * w + 2j / _SQRT_PI
+    # in place, so no temporaries beyond the two results
+    wp = np.multiply(z, w)
+    wp *= -2.0
+    wp += 2j / _SQRT_PI
+    wpp = np.multiply(z, wp)
+    wpp += w
+    wpp *= -2.0
+    far = np.abs(z) > _ASYMPTOTIC_RADIUS
+    if np.any(far):
+        inv = 1.0 / z[far]
+        t = inv * inv
+        wp[far] = _horner(_ASYMPTOTIC_D1, t)
+        wpp[far] = _horner(_ASYMPTOTIC_D2, t) * inv
+    return wp, wpp
 
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].

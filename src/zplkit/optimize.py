@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError
+from .errors import DomainError, IllConditionedError
 
 __all__ = ["LeastSquaresResult", "least_squares"]
 
@@ -27,31 +27,67 @@ _ACCEL_LIMIT = 0.75     # reject steps whose curvature correction dominates
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
+    """Solution and diagnostics of one solve.
+
+    `reason` names the test that stopped the iteration: "rss_rtol",
+    "step_tol", "lambda_max" (no descent left at maximal damping) or "cap"
+    (iteration cap hit, not converged).  `at_bound` holds the indices of
+    the parameters that end exactly on their lower bound; their variances
+    are infinite.
+    """
+
     params: np.ndarray
     rss: float
     covariance: np.ndarray
     n_iterations: int
     converged: bool
+    reason: str
+    n_accepted: int
+    n_rejected: int
+    at_bound: tuple
 
 
 def least_squares(residual, jacobian, p0, max_iterations=500,
-                  rss_rtol=1e-10, step_tol=1e-12):
-    """Minimize sum(residual(p)**2) starting from p0.
+                  rss_rtol=1e-10, step_tol=1e-12, lower=None):
+    """Minimize sum(residual(p)**2) starting from p0, subject to p >= lower.
 
     Parameters
     ----------
     residual : callable p -> (m,) array.  May return non-finite values for
         an infeasible p; such trial steps are rejected.
     jacobian : callable p -> (m, n) array of d(residual)/d(params); only
-        evaluated at accepted points.
-    p0 : initial parameter vector.
+        evaluated at accepted points, each right after the residual there.
+    p0 : initial parameter vector, projected onto the bounds.
+    lower : optional lower bounds, -inf for an unbounded parameter.
+
+    Bounds are handled by projection (Kanzow, Yamashita & Fukushima 2004):
+    each trial point is clipped onto the bounds (a value within `step_tol`
+    of its bound counts as on it), and a parameter sitting on its bound
+    whose gradient points outward is frozen for that step.
 
     Convergence: relative RSS change below `rss_rtol`, or proposed step norm
     below `step_tol`, or no descent direction left at maximal damping.  One
     iteration is one trial step, accepted or not.  The covariance is
-    (J^T J)^-1 scaled by rss/(m - n) at the solution.
+    (J^T J)^-1 scaled by rss/(m - n) at the solution, taken over the
+    parameters off their bounds; a parameter on its bound gets an infinite
+    variance.
     """
     p = np.asarray(p0, dtype=float).copy()
+    lower = (np.full(p.size, -np.inf) if lower is None
+             else np.asarray(lower, dtype=float))
+    if lower.shape != p.shape:
+        raise DomainError("lower bounds and p0 differ in length")
+
+    bounded = bool(np.isfinite(lower).any())
+    # a point within step_tol of a bound is put on it: an optimum on the
+    # bound is otherwise only reached to within a rounding error, on either
+    # side of it
+    snap = lower + step_tol
+
+    def project(point):
+        return np.where(point < snap, lower, point) if bounded else point
+
+    p = project(p)
     r = np.asarray(residual(p), dtype=float)
     rss = float(r @ r)
     if not np.isfinite(rss):
@@ -70,46 +106,63 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
     jac, grad, hess, scale = linearize(p, r)
     lam = _LAMBDA_INIT
     growth = 2.0
-    converged = False
+    reason = "cap"
+    n_accepted = n_rejected = 0
     iteration = 0
     for iteration in range(1, max_iterations + 1):
         damped = hess + lam * np.diag(scale)
+        rhs = -grad
+        frozen = (p <= lower) & (grad > 0) if bounded else None
+        any_frozen = bounded and frozen.any()
+        if any_frozen:
+            # identity rows and columns with a zero right-hand side keep
+            # the step at zero there
+            damped[frozen] = 0.0
+            damped[:, frozen] = 0.0
+            damped[frozen, frozen] = 1.0
+            rhs[frozen] = 0.0
         try:
-            velocity = np.linalg.solve(damped, -grad)
+            velocity = np.linalg.solve(damped, rhs)
         except np.linalg.LinAlgError:
             velocity = None
         if velocity is None or not np.all(np.isfinite(velocity)):
+            n_rejected += 1
             lam *= growth
             growth *= 2.0
             if lam > _LAMBDA_MAX:
                 raise IllConditionedError(
                     "normal equations stay singular at maximal damping")
             continue
-        if float(np.linalg.norm(velocity)) < step_tol:
-            converged = True
+        v_norm = float(np.linalg.norm(velocity))
+        if v_norm < step_tol:
+            reason = "step_tol"
             break
+        p_try = project(p + velocity)
+        h = p_try - p  # the projected step, for the predicted decrease
 
         # geodesic acceleration: second directional derivative of the
         # residual along the proposed step, by one extra evaluation
-        step = velocity
         r_probe = np.asarray(residual(p + _ACCEL_H * velocity), dtype=float)
         if np.all(np.isfinite(r_probe)):
             rpp = 2.0 * (r_probe - r - _ACCEL_H * (jac @ velocity)) / _ACCEL_H ** 2
+            rhs = -0.5 * (jac.T @ rpp)
+            if any_frozen:
+                rhs[frozen] = 0.0
             try:
-                accel = np.linalg.solve(damped, -0.5 * (jac.T @ rpp))
+                accel = np.linalg.solve(damped, rhs)
             except np.linalg.LinAlgError:
                 accel = None
             if accel is not None and np.all(np.isfinite(accel)):
-                v_norm = float(np.linalg.norm(velocity))
                 if float(np.linalg.norm(accel)) <= _ACCEL_LIMIT * v_norm:
-                    step = velocity + accel
+                    p_try = project(p + velocity + accel)
 
-        p_try = p + step
         r_try = np.asarray(residual(p_try), dtype=float)
         rss_try = float(r_try @ r_try)
         if np.isfinite(rss_try) and rss_try <= rss:
+            n_accepted += 1
             drop = rss - rss_try
-            predicted = float(velocity @ (lam * scale * velocity - grad))
+            # decrease the linear model predicts for the projected step
+            predicted = -float(h @ (2.0 * grad + hess @ h))
             gain = drop / predicted if predicted > 0 else 1.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             lam = max(lam, 1e-15)
@@ -117,19 +170,26 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
             p, r, rss = p_try, r_try, rss_try
             jac, grad, hess, scale = linearize(p, r)
             if drop <= rss_rtol * max(rss, 1e-300):
-                converged = True
+                reason = "rss_rtol"
                 break
         else:
+            n_rejected += 1
             lam *= growth
             growth *= 2.0
             if lam > _LAMBDA_MAX:
                 # no descent direction even under maximal damping:
                 # stationary to floating-point precision
-                converged = True
+                reason = "lambda_max"
                 break
 
     dof = r.size - p.size
     s2 = rss / dof if dof > 0 else 0.0
-    covariance = s2 * np.linalg.pinv(hess)
-    return LeastSquaresResult(params=p, rss=rss, covariance=covariance,
-                              n_iterations=iteration, converged=converged)
+    at_bound = np.flatnonzero(p <= lower)
+    off = np.flatnonzero(p > lower)[:, None]
+    covariance = np.zeros((p.size, p.size))
+    covariance[off, off.T] = s2 * np.linalg.pinv(hess[off, off.T])
+    covariance[at_bound, at_bound] = np.inf
+    return LeastSquaresResult(
+        params=p, rss=rss, covariance=covariance, n_iterations=iteration,
+        converged=reason != "cap", reason=reason, n_accepted=n_accepted,
+        n_rejected=n_rejected, at_bound=tuple(at_bound.tolist()))

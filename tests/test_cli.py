@@ -127,6 +127,12 @@ def test_compare_command_on_record_and_table(synth_dir, tmp_path):
     assert result.returncode == 0
     assert len(result.stdout.splitlines()) == 2  # header + one row
 
+    # the 10 K fit ends on the f_L >= 0 bound: a zero Lorentzian component
+    # is a valid point for the bare-component comparison
+    assert record["per_temperature"][0]["lorentzian_fwhm_meV"] == 0.0
+    result = run_cli("compare", str(record_path), "--quantity", "lorentzian")
+    assert result.returncode == 0, result.stderr
+
 
 def test_simulate_command_deterministic(tmp_path):
     args = ("simulate", "--sigma", "0", "--gamma", "1.0", "--t-max", "20",
@@ -176,14 +182,19 @@ def test_exit_codes(tmp_path):
                      "--t-max", "1", "--dt", "0.01", cwd=tmp_path)
     assert result.returncode == 1
     # parse errors in compare input: a record block without the linewidth,
-    # and a table with a non-finite linewidth
+    # a table with a non-finite linewidth, and tables with negative or
+    # zero linewidths
     record = tmp_path / "record.json"
     record.write_text(json.dumps({"per_temperature": [
         {"temperature_K": 10.0, "total_fwhm_meV": 0.8},
         {"temperature_K": 30.0}]}))
     table = tmp_path / "table.csv"
     table.write_text("10,0.8\n30,nan\n50,1.2\n70,1.9\n")
-    for path in (record, table):
+    negative = tmp_path / "negative.csv"
+    negative.write_text("10,-0.8\n30,-1\n50,-2\n70,-3\n")
+    zero = tmp_path / "zero.csv"
+    zero.write_text("10,0\n30,0\n50,0\n70,0\n")
+    for path in (record, table, negative, zero):
         result = run_cli("compare", str(path))
         assert result.returncode == 1
         assert result.stderr.startswith("error: parse:")

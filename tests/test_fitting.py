@@ -8,6 +8,8 @@ from zplkit.errors import (DomainError, InsufficientDataError, NoPeakError)
 from zplkit.fitting import (Spectrum, analyze_series, classify_lineshape,
                             compare_models, extract_components, fit_series,
                             fit_voigt)
+from zplkit.io_formats import (generate_synthetic_series, load_manifest,
+                               load_series)
 from zplkit.physics import AcousticDebye, CubicLaw
 
 SERIES_GRID = tuple(float(t) for t in range(10, 271, 20))
@@ -60,6 +62,10 @@ def test_fit_recovers_noiseless_gaussian():
     assert fit.params.lorentzian_fwhm < 1e-6
     assert fit.params.amplitude == pytest.approx(amplitude, rel=1e-6)
     assert fit.converged
+    # the pure shape ends exactly on the f_L >= 0 bound, fast
+    assert fit.params.lorentzian_fwhm == 0.0
+    assert fit.uncertainties.lorentzian_fwhm == math.inf
+    assert fit.n_iterations <= 15
 
 
 def test_fit_recovers_noiseless_lorentzian():
@@ -70,6 +76,8 @@ def test_fit_recovers_noiseless_lorentzian():
     assert abs(fit.params.lorentzian_fwhm - 6.82) < 1e-6 * 6.82
     assert fit.params.gaussian_fwhm < 1e-2
     assert fit.params.amplitude == pytest.approx(amplitude, rel=1e-6)
+    assert fit.params.gaussian_fwhm == 0.0
+    assert fit.uncertainties.gaussian_fwhm == math.inf
 
 
 def test_fit_recovers_noiseless_mixed_voigt():
@@ -183,6 +191,22 @@ def test_extract_components_zero_lorentzian_series():
         fits.append((t, fit_voigt(spec)))
     floor, pairs = extract_components(fits, mode="shared_fg")
     assert all(f_l < 0.05 for _, f_l in pairs)  # below the noise floor
+
+
+def test_extract_components_ignores_a_pinned_floor(tmp_path):
+    # seed 5's 270 K spectrum fits with f_G on its bound: that fit says
+    # nothing about the floor and must carry no weight in it
+    path = generate_synthetic_series(tmp_path, AcousticDebye(6.82, 600.0),
+                                     seed=5)
+    fits = [(t, fit_voigt(s)) for t, s in load_series(load_manifest(path))]
+    hot = fits[-1][1]
+    assert fits[-1][0] == 270.0
+    assert hot.params.gaussian_fwhm == 0.0
+    assert hot.uncertainties.gaussian_fwhm == math.inf
+    floor, _ = extract_components(fits, mode="shared_fg")
+    floor_without, _ = extract_components(fits[:-1], mode="shared_fg")
+    assert floor == pytest.approx(floor_without, rel=1e-12)
+    assert abs(floor - 0.72) / 0.72 < 0.05
 
 
 def test_extract_components_free_mode_and_errors():

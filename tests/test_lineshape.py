@@ -8,7 +8,8 @@ from zplkit.lineshape import (GAUSSIAN_FWHM_FACTOR, VoigtParams,
                               gaussian_profile, grid_fwhm, invert_voigt_fwhm,
                               lorentzian_profile, measure_fwhm,
                               sigma_from_fwhm, voigt_direct_convolution,
-                              voigt_fwhm, voigt_profile)
+                              voigt_fwhm, voigt_profile,
+                              voigt_value_and_derivatives)
 
 
 def test_gaussian_basics():
@@ -152,3 +153,38 @@ def test_profile_positivity_and_area():
         v = voigt_profile(x, sigma, gamma)
         assert np.all(v >= 0)
         assert np.trapezoid(v, x) == pytest.approx(1.0, abs=2e-2 * gamma)
+
+
+def test_voigt_partials_match_mpmath_down_to_the_lorentzian_limit():
+    # the variance partial dV/d(sigma^2) = V_xx / 2 must stay accurate as
+    # sigma -> 0, where |z| is large and the Faddeeva recurrences cancel;
+    # every branch (Faddeeva, Lorentzian, Gaussian) is checked
+    mpmath = pytest.importorskip("mpmath")
+
+    @mpmath.workdps(40)
+    def exact(x, s2, gamma):
+        def v(xx, ss, gg):
+            if ss == 0:
+                return gg / mpmath.pi / (xx * xx + gg * gg)
+            z = (xx + 1j * gg) / mpmath.sqrt(2 * ss)
+            return (mpmath.exp(-z * z) * mpmath.erfc(-1j * z)).real / (
+                mpmath.sqrt(2 * mpmath.pi * ss))
+        x, s2, gamma = mpmath.mpf(x), mpmath.mpf(s2), mpmath.mpf(gamma)
+        return (v(x, s2, gamma),
+                mpmath.diff(lambda t: v(t, s2, gamma), x),
+                mpmath.diff(lambda t: v(t, s2, gamma), x, 2) / 2,
+                mpmath.diff(lambda t: v(x, s2, t), gamma))
+
+    x = np.array([-30.0, -4.0, -0.5, 0.0, 1.3, 12.0])
+    for sigma, gamma, columns in ((1e-4, 3.4, ("x", "variance", "gamma")),
+                                  (1e-2, 3.4, ("x", "variance", "gamma")),
+                                  (1.0, 0.7, ("x", "variance", "gamma")),
+                                  (0.0, 3.4, ("x", "variance", "gamma")),
+                                  (1.0, 0.0, ("x", "variance"))):
+        value, partials, _ = voigt_value_and_derivatives(x, sigma, gamma,
+                                                         columns)
+        for k, xk in enumerate(x):
+            reference = exact(xk, sigma * sigma, gamma)
+            for got, ref in zip([value, *partials], reference):
+                assert got[k] == pytest.approx(float(ref), rel=1e-9,
+                                               abs=1e-300)

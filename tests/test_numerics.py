@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zplkit.errors import DomainError, QuadratureError
-from zplkit.numerics import adaptive_gauss_kronrod, faddeeva, faddeeva_derivative
+from zplkit.numerics import adaptive_gauss_kronrod, faddeeva, faddeeva_derivatives
 
 
 def test_faddeeva_known_points():
@@ -27,6 +27,43 @@ def test_faddeeva_asymptotic_large_z():
         assert abs(got - expected) / abs(expected) < 1e-6
 
 
+def _mpmath_oracle_grid():
+    re = np.logspace(-3.0, 3.0, 25)
+    re = np.concatenate([-re[::-1], [0.0], re])
+    return np.array([x + 1j * y for y in (0.0, 1e-6, 1e-2, 1.0, 30.0)
+                     for x in re])
+
+
+def test_faddeeva_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    z = _mpmath_oracle_grid()
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.exp(-mpmath.mpc(v) ** 2)
+                                  * mpmath.erfc(-1j * mpmath.mpc(v)))
+                          for v in z])
+    rel = np.abs(faddeeva(z) - exact) / np.abs(exact)
+    assert np.max(rel) <= 1e-12
+
+
+def test_faddeeva_derivatives_match_mpmath():
+    # the recurrences w' = -2zw + 2i/sqrt(pi), w'' = -2w - 2zw' cancel at
+    # large |z|; the oracle reaches |z| = 1e4, where they lose 8 digits
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([_mpmath_oracle_grid(), 1e4 + 1j * np.array([0.0, 1.0]),
+                        np.array([3e3j, 19.0 + 1.0j, 25.0 + 1.0j])])
+    exact_1, exact_2 = [], []
+    with mpmath.workdps(60):
+        for v in z:
+            v = mpmath.mpc(v)
+            w = mpmath.exp(-v * v) * mpmath.erfc(-1j * v)
+            w1 = -2 * v * w + 2j / mpmath.sqrt(mpmath.pi)
+            exact_1.append(complex(w1))
+            exact_2.append(complex(-2 * w - 2 * v * w1))
+    wp, wpp = faddeeva_derivatives(z)
+    assert np.max(np.abs(wp - exact_1) / np.abs(exact_1)) <= 1e-11
+    assert np.max(np.abs(wpp - exact_2) / np.abs(exact_2)) <= 1e-8
+
+
 def test_faddeeva_rejects_lower_half_plane():
     with pytest.raises(DomainError):
         faddeeva(1.0 - 0.5j)
@@ -37,7 +74,7 @@ def test_faddeeva_derivative_matches_finite_difference():
     z = rng.uniform(-3, 3, 50) + 1j * rng.uniform(0.01, 3, 50)
     h = 1e-6
     fd = (faddeeva(z + h) - faddeeva(z - h)) / (2 * h)
-    assert np.max(np.abs(faddeeva_derivative(z) - fd)) < 1e-8
+    assert np.max(np.abs(faddeeva_derivatives(z)[0] - fd)) < 1e-8
 
 
 def test_quadrature_polynomial_and_gaussian():

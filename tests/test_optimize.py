@@ -103,6 +103,34 @@ def test_iteration_cap_reported():
     result = least_squares(residual, jacobian, [20.0, 5.0], max_iterations=2)
     assert not result.converged
     assert result.n_iterations == 2
+    assert result.reason == "cap"
+
+
+def test_lower_bound_holds_an_outside_optimum():
+    # the unconstrained optimum has p[1] < 0; under p[1] >= 0 the solution
+    # sits exactly on the bound, with the other parameter refitted alone
+    rng = np.random.default_rng(3)
+    design = rng.normal(size=(40, 2))
+    y = design @ np.array([1.5, -2.0])
+
+    def residual(p):
+        return design @ p - y
+
+    result = least_squares(residual, lambda p: design, [0.0, 1.0],
+                           lower=[-np.inf, 0.0])
+    assert result.converged
+    assert result.reason in ("rss_rtol", "step_tol", "lambda_max")
+    assert result.params[1] == 0.0
+    assert result.at_bound == (1,)
+    column = design[:, 0]
+    assert result.params[0] == pytest.approx(column @ y / (column @ column),
+                                              rel=1e-10)
+    assert 0 < result.n_accepted <= result.n_iterations
+    assert result.n_accepted + result.n_rejected <= result.n_iterations
+    # free-subspace covariance; the bound parameter was not estimated
+    assert result.covariance[1, 1] == np.inf
+    assert result.covariance[0, 0] == pytest.approx(
+        result.rss / (40 - 2) / (column @ column), rel=1e-10)
 
 
 def test_zero_gradient_direction_is_harmless():
