@@ -61,11 +61,8 @@ def _fit_block(temperature, fit):
 
 def _model_block(row):
     m = row.model
-    params = {"amplitude": m.amplitude, "gaussian_floor_meV": m.gaussian_floor}
-    if hasattr(m, "debye_temperature"):
-        params["debye_temperature_K"] = m.debye_temperature
-    if hasattr(m, "phonon_energy"):
-        params["phonon_energy_meV"] = m.phonon_energy
+    params = {"amplitude": m.amplitude, "gaussian_floor_meV": m.gaussian_floor,
+              **{m.shape[name]: v for name, v in m.shape_values().items()}}
     return {"kind": row.kind, "params": params, "rss": row.rss,
             "n_free": row.n_free, "aic": row.aic, "delta_aic": row.delta_aic}
 
@@ -173,6 +170,14 @@ def _finite(value, where, lineno=None):
     return number
 
 
+def _number(text):
+    """argparse type of every float flag: a finite number."""
+    try:
+        return _finite(text, "value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _linewidth(value, quantity, where, lineno=None):
     # a total FWHM is positive; a Lorentzian component may sit on its
     # bound of zero, as fits of pure Gaussian lines report it
@@ -230,8 +235,8 @@ def cmd_compare(args):
     floor = args.fix_fg if args.fix_fg is not None else record_floor
     rows = compare_models(points, kinds=args.models, quantity=args.quantity,
                           gaussian_floor=floor if args.quantity == "total" else 0.0,
-                          debye_temperature=args.theta_d if args.theta_d is not None else 600.0,
-                          phonon_energy=args.phonon_energy if args.phonon_energy is not None else 18.0)
+                          debye_temperature=args.theta_d,
+                          phonon_energy=args.phonon_energy)
     _print_comparison(args, rows)
     if args.output:
         write_result_record({
@@ -267,9 +272,10 @@ def cmd_simulate(args):
 
 
 def cmd_synth(args):
-    model = make_model(args.model, args.amplitude,
-                       debye_temperature=args.theta_d if args.theta_d is not None else 600.0,
-                       phonon_energy=args.phonon_energy if args.phonon_energy is not None else 18.0)
+    if not args.t_step > 0:
+        raise ConfigError(f"--t-step must be > 0, got {args.t_step}")
+    model = make_model(args.model, args.amplitude, debye_temperature=args.theta_d,
+                       phonon_energy=args.phonon_energy)
     temperatures = np.arange(args.t_start, args.t_stop + 1e-9, args.t_step)
     manifest_path = generate_synthetic_series(
         args.out_dir, model, gaussian_floor=args.fg,
@@ -292,12 +298,12 @@ def _build_parser():
                        help="suppress the human-readable summary")
 
     def add_model_flags(p):
-        p.add_argument("--theta-d", type=float, default=None, metavar="K",
+        p.add_argument("--theta-d", type=_number, default=None, metavar="K",
                        help="Debye temperature (default 600, or manifest value)")
-        p.add_argument("--phonon-energy", type=float, default=None,
+        p.add_argument("--phonon-energy", type=_number, default=None,
                        metavar="MEV",
                        help="optical phonon energy (default 18, or manifest value)")
-        p.add_argument("--fix-fg", type=float, default=None, metavar="MEV",
+        p.add_argument("--fix-fg", type=_number, default=None, metavar="MEV",
                        help="fix the Gaussian floor instead of estimating it")
         p.add_argument("--quantity", choices=("total", "lorentzian"),
                        default="total",
@@ -306,7 +312,7 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit one spectrum and classify its shape")
     p.add_argument("spectrum", help="spectrum file (energy_meV,intensity)")
     p.add_argument("--output", help="write a JSON result record here")
-    p.add_argument("--temperature", type=float, default=None,
+    p.add_argument("--temperature", type=_number, default=None,
                    help="override the temperature tag")
     p.add_argument("--unweighted", action="store_true",
                    help="disable Poisson weighting")
@@ -336,17 +342,17 @@ def _build_parser():
 
     p = sub.add_parser("simulate",
                        help="Monte-Carlo coherence and its FFT spectrum")
-    p.add_argument("--sigma", type=float, required=True,
+    p.add_argument("--sigma", type=_number, required=True,
                    help="frequency-modulation strength, 1/ps")
-    p.add_argument("--gamma", type=float, required=True,
+    p.add_argument("--gamma", type=_number, required=True,
                    help="homogeneous decay rate, 1/ps")
-    p.add_argument("--correlation-rate", type=float, default=0.0,
+    p.add_argument("--correlation-rate", type=_number, default=0.0,
                    help="field correlation rate lambda, 1/ps (default 0)")
-    p.add_argument("--t-max", type=float, required=True, help="ps")
-    p.add_argument("--dt", type=float, required=True, help="ps")
+    p.add_argument("--t-max", type=_number, required=True, help="ps")
+    p.add_argument("--dt", type=_number, required=True, help="ps")
     p.add_argument("--n-traj", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--center", type=float, default=1820.0,
+    p.add_argument("--center", type=_number, default=1820.0,
                    help="line center, meV")
     p.add_argument("--output-spectrum", default="simulated_spectrum.csv")
     p.add_argument("--output-coherence", default="simulated_coherence.csv")
@@ -356,17 +362,17 @@ def _build_parser():
     p = sub.add_parser("synth", help="generate a seeded synthetic series")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--model", choices=MODEL_KINDS, default="acoustic_debye")
-    p.add_argument("--amplitude", type=float, default=6.82,
+    p.add_argument("--amplitude", type=_number, default=6.82,
                    help="model amplitude, meV (default 6.82)")
-    p.add_argument("--theta-d", type=float, default=None, metavar="K")
-    p.add_argument("--phonon-energy", type=float, default=None, metavar="MEV")
-    p.add_argument("--fg", type=float, default=0.72,
+    p.add_argument("--theta-d", type=_number, default=None, metavar="K")
+    p.add_argument("--phonon-energy", type=_number, default=None, metavar="MEV")
+    p.add_argument("--fg", type=_number, default=0.72,
                    help="constant Gaussian floor, meV (default 0.72)")
-    p.add_argument("--snr", type=float, default=30.0,
+    p.add_argument("--snr", type=_number, default=30.0,
                    help="peak signal-to-noise; 0 disables noise")
-    p.add_argument("--t-start", type=float, default=10.0)
-    p.add_argument("--t-stop", type=float, default=270.0)
-    p.add_argument("--t-step", type=float, default=20.0)
+    p.add_argument("--t-start", type=_number, default=10.0)
+    p.add_argument("--t-stop", type=_number, default=270.0)
+    p.add_argument("--t-step", type=_number, default=20.0)
     p.add_argument("--n-points", type=int, default=1001)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emitter-id", default="synthetic")
@@ -376,11 +382,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (FormatError, ConfigError, DomainError, QuadratureError) as exc:
+    # OverflowError: a finite input too large for float arithmetic
+    except (FormatError, ConfigError, DomainError, QuadratureError, OverflowError) as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 1
     except (FitError, InsufficientDecayError) as exc:

@@ -91,7 +91,6 @@ class LineshapeClassification:
 
 @dataclass(frozen=True)
 class SeriesModelFit:
-    kind: str
     model: physics.DephasingModel
     quantity: str
     rss: float
@@ -100,15 +99,22 @@ class SeriesModelFit:
     converged: bool
     n_iterations: int
 
+    @property
+    def kind(self):
+        return self.model.kind
+
 
 @dataclass(frozen=True)
 class ModelComparison:
-    kind: str
     model: physics.DephasingModel
     rss: float
     n_free: int
     aic: float
     delta_aic: float
+
+    @property
+    def kind(self):
+        return self.model.kind
 
 
 @dataclass(frozen=True)
@@ -354,20 +360,6 @@ def extract_components(fits: Sequence[tuple], mode="shared_fg"):
 # temperature-series model fits
 # ---------------------------------------------------------------------------
 
-def _model_basis(kind, temperature, debye_temperature, phonon_energy):
-    """Lorentzian FWHM of a unit-amplitude model at one temperature."""
-    if kind == "acoustic_debye":
-        ref = physics.debye_integral(
-            physics.REFERENCE_TEMPERATURE_K, debye_temperature)
-        return physics.debye_integral(temperature, debye_temperature) / ref
-    if kind == "cubic_law":
-        return temperature ** 3
-    if kind == "optical_mode":
-        n = physics.bose_einstein(phonon_energy, temperature)
-        return n * (n + 1.0)
-    raise DomainError(f"unknown model kind {kind!r}")
-
-
 def _fwhm_partials(f_l, f_g):
     """d(total)/d(f_L) and d(total)/d(f_G) of the FWHM combination."""
     root = np.sqrt(_FWHM_CQ * f_l ** 2 + f_g ** 2)
@@ -380,18 +372,19 @@ def _fwhm_partials(f_l, f_g):
 
 def build_series_problem(temperatures, values, kind, *, quantity="total",
                          gaussian_floor=0.0, fit_floor=False,
-                         debye_temperature=600.0, phonon_energy=18.0):
+                         debye_temperature=None, phonon_energy=None):
     """Residual/Jacobian closures for a linewidth-vs-temperature model fit.
 
     Exposed for the same reason as build_voigt_problem: the analytic
     Jacobian is part of the engine contract and is checked against central
     finite differences.  Parameters are [sqrt(amplitude)] plus
-    [sqrt(floor)] when `fit_floor`.
+    [sqrt(floor)] when `fit_floor`; shape parameters default when None.
     """
     temps = np.asarray(temperatures, dtype=float)
     y = np.asarray(values, dtype=float)
-    basis = np.array([_model_basis(kind, t, debye_temperature, phonon_energy)
-                      for t in temps])
+    unit = physics.make_model(kind, 1.0, debye_temperature=debye_temperature,
+                              phonon_energy=phonon_energy)
+    basis = np.array([unit.lorentzian_fwhm(t) for t in temps])
 
     def unpack(p):
         amplitude = p[0] ** 2
@@ -422,7 +415,7 @@ def build_series_problem(temperatures, values, kind, *, quantity="total",
 
 
 def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
-               fit_floor=False, debye_temperature=600.0, phonon_energy=18.0,
+               fit_floor=False, debye_temperature=None, phonon_energy=None,
                max_iterations=500) -> SeriesModelFit:
     """Fit one dephasing model to (temperature, linewidth) data.
 
@@ -430,7 +423,7 @@ def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
     combined Voigt FWHM (Gaussian floor included, fixed to `gaussian_floor`
     or fitted when `fit_floor`), "lorentzian" fits the bare Lorentzian
     component.  Only amplitudes (and optionally the floor) are free; the
-    Debye temperature and phonon energy are fixed inputs.
+    Debye temperature and phonon energy are fixed (None: model default).
     """
     if quantity not in ("total", "lorentzian"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -480,7 +473,7 @@ def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
     model = physics.make_model(kind, amplitude, gaussian_floor=floor,
                                debye_temperature=debye_temperature,
                                phonon_energy=phonon_energy)
-    return SeriesModelFit(kind=kind, model=model, quantity=quantity,
+    return SeriesModelFit(model=model, quantity=quantity,
                           rss=result.rss, n_points=n, n_free=n_free,
                           converged=True, n_iterations=result.n_iterations)
 
@@ -507,14 +500,13 @@ def compare_models(points, kinds=physics.MODEL_KINDS, **fit_kwargs):
     out = []
     for aic, n_free, _, fit in rows:
         delta = 0.0 if aic == best_aic else aic - best_aic
-        out.append(ModelComparison(kind=fit.kind, model=fit.model,
-                                   rss=fit.rss, n_free=n_free, aic=aic,
-                                   delta_aic=delta))
+        out.append(ModelComparison(model=fit.model, rss=fit.rss,
+                                   n_free=n_free, aic=aic, delta_aic=delta))
     return out
 
 
 def analyze_series(series, *, quantity="total", gaussian_floor=None,
-                   debye_temperature=600.0, phonon_energy=18.0,
+                   debye_temperature=None, phonon_energy=None,
                    weighted=True, kinds=physics.MODEL_KINDS) -> SeriesFitResult:
     """Full pipeline on (temperature, Spectrum) pairs.
 

@@ -21,6 +21,7 @@ from .errors import (DomainError, EmptyFileError, NonMonotonicGridError,
                      ParseError)
 from .fitting import Spectrum
 from .lineshape import VoigtParams, voigt_fwhm, voigt_profile
+from .physics import SHAPE_DEFAULTS
 
 __all__ = [
     "SPECTRUM_HEADER", "SCHEMA_VERSION", "SeriesManifest", "ManifestEntry",
@@ -125,8 +126,8 @@ class ManifestEntry:
 class SeriesManifest:
     emitter_id: str
     entries: tuple
-    debye_temperature: float = 600.0
-    phonon_energy: float = 18.0
+    debye_temperature: float = SHAPE_DEFAULTS["debye_temperature"]
+    phonon_energy: float = SHAPE_DEFAULTS["phonon_energy"]
     base_dir: str = "."
 
     def __post_init__(self):
@@ -165,8 +166,10 @@ def load_manifest(path) -> SeriesManifest:
         manifest = SeriesManifest(
             emitter_id=str(doc.get("emitter_id", "")),
             entries=entries,
-            debye_temperature=float(meta.get("theta_D_K", 600.0)),
-            phonon_energy=float(meta.get("phonon_energy_meV", 18.0)),
+            debye_temperature=float(meta.get(
+                "theta_D_K", SHAPE_DEFAULTS["debye_temperature"])),
+            phonon_energy=float(meta.get(
+                "phonon_energy_meV", SHAPE_DEFAULTS["phonon_energy"])),
             base_dir=os.path.dirname(os.path.abspath(path)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed manifest {path}: {exc}") from exc
@@ -251,7 +254,7 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
     temperatures = sorted(float(t) for t in temperatures)
     if len(temperatures) < 1:
         raise DomainError("need at least one temperature")
-    if peak_snr < 0:
+    if not peak_snr >= 0:
         raise DomainError("peak_snr must be >= 0")
     if n_points < 21:
         raise DomainError("n_points must be >= 21")
@@ -287,9 +290,7 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
         entries.append(ManifestEntry(temperature, name))
     manifest = SeriesManifest(
         emitter_id=emitter_id, entries=tuple(entries),
-        debye_temperature=getattr(model, "debye_temperature", 600.0),
-        phonon_energy=getattr(model, "phonon_energy", 18.0),
-        base_dir=os.fspath(out_dir))
+        base_dir=os.fspath(out_dir), **model.shape_values())
     manifest_path = os.path.join(out_dir, manifest_name)
     save_manifest(manifest, manifest_path)
     return manifest_path

@@ -7,9 +7,8 @@ ps.  Rates such as the output of `debye_integral` therefore carry (1/ps)^3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
@@ -21,7 +20,7 @@ __all__ = [
     "BOLTZMANN_MEV_PER_K", "HBAR_MEV_PS", "REFERENCE_TEMPERATURE_K",
     "bose_einstein", "reduced_debye_integral", "debye_integral",
     "cubic_asymptote", "AcousticDebye", "CubicLaw", "OpticalMode",
-    "DephasingModel", "MODEL_KINDS", "make_model",
+    "DephasingModel", "MODEL_KINDS", "SHAPE_DEFAULTS", "make_model",
 ]
 
 BOLTZMANN_MEV_PER_K = 8.617333262e-2   # CODATA 2018
@@ -116,15 +115,34 @@ def cubic_asymptote(temperature):
     return rate ** 3 * (math.pi ** 2 / 3.0)
 
 
-def _check_common(amplitude, gaussian_floor):
-    if amplitude < 0:
-        raise DomainError("amplitude must be non-negative")
-    if gaussian_floor < 0:
-        raise DomainError("gaussian_floor must be non-negative")
+class DephasingModel:
+    """Lorentzian FWHM = amplitude * basis(T), over a constant Gaussian floor.
+    Each kind declares its `kind`, a scalar unit-amplitude `basis(T)`, and
+    its `shape` parameters mapped to their result-record keys."""
+
+    shape = {}
+
+    def __post_init__(self):
+        # `not x >= 0` rather than `x < 0`, so that NaN fails too
+        if not (self.amplitude >= 0 and self.gaussian_floor >= 0):
+            raise DomainError("amplitude and gaussian_floor must be >= 0")
+        for name in self.shape:
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be > 0")
+
+    def lorentzian_fwhm(self, temperature):
+        return self.amplitude * self.basis(temperature)
+
+    def total_fwhm(self, temperature):
+        return voigt_fwhm(self.gaussian_floor, self.lorentzian_fwhm(temperature))
+
+    def shape_values(self):
+        """The shape parameters as {attribute name: value}."""
+        return {name: getattr(self, name) for name in self.shape}
 
 
 @dataclass(frozen=True)
-class AcousticDebye:
+class AcousticDebye(DephasingModel):
     """Acoustic-band dephasing with a finite Debye cutoff.
 
     `amplitude` is the Lorentzian FWHM (meV) the model produces at the
@@ -136,23 +154,16 @@ class AcousticDebye:
     gaussian_floor: float = 0.0
 
     kind = "acoustic_debye"
+    shape = {"debye_temperature": "debye_temperature_K"}
 
-    def __post_init__(self):
-        _check_common(self.amplitude, self.gaussian_floor)
-        if not self.debye_temperature > 0:
-            raise DomainError("debye_temperature must be > 0")
-
-    def lorentzian_fwhm(self, temperature):
+    def basis(self, temperature):
+        # looked up at call time, so a wrapper on the module attribute sees it
         ref = debye_integral(REFERENCE_TEMPERATURE_K, self.debye_temperature)
-        return self.amplitude * debye_integral(
-            temperature, self.debye_temperature) / ref
-
-    def total_fwhm(self, temperature):
-        return voigt_fwhm(self.gaussian_floor, self.lorentzian_fwhm(temperature))
+        return debye_integral(temperature, self.debye_temperature) / ref
 
 
 @dataclass(frozen=True)
-class CubicLaw:
+class CubicLaw(DephasingModel):
     """Low-temperature limit: Lorentzian FWHM = amplitude * T^3 (meV/K^3)."""
 
     amplitude: float
@@ -160,20 +171,14 @@ class CubicLaw:
 
     kind = "cubic_law"
 
-    def __post_init__(self):
-        _check_common(self.amplitude, self.gaussian_floor)
-
-    def lorentzian_fwhm(self, temperature):
+    def basis(self, temperature):
         if temperature < 0:
             raise DomainError(f"temperature must be >= 0, got {temperature}")
-        return self.amplitude * temperature ** 3
-
-    def total_fwhm(self, temperature):
-        return voigt_fwhm(self.gaussian_floor, self.lorentzian_fwhm(temperature))
+        return temperature ** 3
 
 
 @dataclass(frozen=True)
-class OpticalMode:
+class OpticalMode(DephasingModel):
     """Single optical-phonon dephasing: FWHM = amplitude * n(E0)[n(E0)+1]."""
 
     amplitude: float
@@ -181,32 +186,27 @@ class OpticalMode:
     gaussian_floor: float = 0.0
 
     kind = "optical_mode"
+    shape = {"phonon_energy": "phonon_energy_meV"}
 
-    def __post_init__(self):
-        _check_common(self.amplitude, self.gaussian_floor)
-        if not self.phonon_energy > 0:
-            raise DomainError("phonon_energy must be > 0")
-
-    def lorentzian_fwhm(self, temperature):
+    def basis(self, temperature):
         n = bose_einstein(self.phonon_energy, temperature)
-        return self.amplitude * n * (n + 1.0)
-
-    def total_fwhm(self, temperature):
-        return voigt_fwhm(self.gaussian_floor, self.lorentzian_fwhm(temperature))
+        return n * (n + 1.0)
 
 
-DephasingModel = Union[AcousticDebye, CubicLaw, OpticalMode]
+MODEL_KINDS = {cls.kind: cls for cls in (AcousticDebye, CubicLaw, OpticalMode)}
 
-MODEL_KINDS = ("acoustic_debye", "cubic_law", "optical_mode")
+SHAPE_DEFAULTS = {f.name: f.default for cls in MODEL_KINDS.values()
+                  for f in fields(cls) if f.name in cls.shape}
 
 
-def make_model(kind, amplitude, *, gaussian_floor=0.0, debye_temperature=600.0,
-               phonon_energy=18.0) -> DephasingModel:
-    """Construct a dephasing model by kind name."""
-    if kind == "acoustic_debye":
-        return AcousticDebye(amplitude, debye_temperature, gaussian_floor)
-    if kind == "cubic_law":
-        return CubicLaw(amplitude, gaussian_floor)
-    if kind == "optical_mode":
-        return OpticalMode(amplitude, phonon_energy, gaussian_floor)
-    raise DomainError(f"unknown model kind {kind!r}")
+def make_model(kind, amplitude, *, gaussian_floor=0.0, **shape) -> DephasingModel:
+    """Construct a dephasing model by kind name.  Shape parameters the kind
+    does not take are ignored; one given as None takes its default."""
+    if not set(shape) <= set(SHAPE_DEFAULTS):
+        raise TypeError(f"unknown shape parameter among {sorted(shape)}")
+    cls = MODEL_KINDS.get(kind)
+    if cls is None:
+        raise DomainError(f"unknown model kind {kind!r}")
+    return cls(amplitude, gaussian_floor=gaussian_floor,
+               **{name: shape[name] for name in cls.shape
+                  if shape.get(name) is not None})

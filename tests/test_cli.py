@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import synthetic_voigt_spectrum
+from zplkit.cli import main
 from zplkit.io_formats import save_spectrum
 from zplkit.fitting import Spectrum
 
@@ -202,6 +207,79 @@ def test_exit_codes(tmp_path):
     # usage error
     result = run_cli("frobnicate")
     assert result.returncode == 1
+    # numeric flags must be finite, the synth temperature step positive,
+    # and a finite value too large for float arithmetic is a parse error
+    four = tmp_path / "four.csv"
+    four.write_text("10,0.8\n30,1.0\n50,1.4\n70,2.0\n")
+    out = str(tmp_path / "synth")
+    for args in (("synth", "--out-dir", out, "--t-step", "0"),
+                 ("synth", "--out-dir", out, "--t-stop", "inf"),
+                 ("synth", "--out-dir", out, "--snr", "nan"),
+                 ("synth", "--out-dir", out, "--amplitude", "nan"),
+                 ("synth", "--out-dir", out, "--fg", "nan"),
+                 ("synth", "--out-dir", out + "_big", "--amplitude", "1e300"),
+                 ("compare", str(four), "--fix-fg", "nan"),
+                 ("compare", str(four), "--fix-fg", "1e300")):
+        result = run_cli(*args)
+        assert result.returncode == 1, args
+        assert "Traceback" not in result.stderr
+        assert sum(line.startswith("error:")
+                   for line in result.stderr.splitlines()) == 1
+    assert not os.path.exists(out)
+
+
+_NUMBER_TEXT = st.one_of(st.floats(min_value=0.0, max_value=600.0),
+                         st.floats()).map(repr)
+_JSON_VALUE = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                        st.integers(-1000, 1000), st.floats())
+_BLOCK = st.one_of(
+    _JSON_VALUE,
+    st.dictionaries(st.sampled_from(["temperature_K", "total_fwhm_meV",
+                                     "lorentzian_fwhm_meV", "other"]),
+                    st.one_of(st.floats(min_value=0.0, max_value=600.0),
+                              _JSON_VALUE)))
+_RECORD = st.fixed_dictionaries(
+    {"per_temperature": st.one_of(_JSON_VALUE, st.lists(_BLOCK, max_size=8))},
+    optional={"gaussian_floor_meV": _JSON_VALUE})
+_TABLE = st.lists(st.one_of(st.tuples(_NUMBER_TEXT, _NUMBER_TEXT).map(",".join),
+                            st.text(max_size=8)),
+                  max_size=8).map("\n".join)
+# well-formed points, so that fits run and some comparisons succeed
+_POINTS = st.lists(st.tuples(st.floats(min_value=0.0, max_value=600.0),
+                             st.floats(min_value=0.0, max_value=50.0)),
+                   min_size=3, max_size=8)
+_CONTENT = st.one_of(
+    _RECORD.map(json.dumps), _TABLE,
+    _POINTS.map(lambda pts: "\n".join(f"{t!r},{y!r}" for t, y in pts)),
+    _POINTS.map(lambda pts: json.dumps({"per_temperature": [
+        {"temperature_K": t, "total_fwhm_meV": y, "lorentzian_fwhm_meV": y}
+        for t, y in pts]})))
+
+
+@settings(max_examples=100, deadline=None)
+@given(content=_CONTENT,
+       quantity=st.sampled_from(["total", "lorentzian"]),
+       fix_fg=st.one_of(st.none(), _NUMBER_TEXT))
+def test_compare_any_input_exits_cleanly(content, quantity, fix_fg):
+    # whatever the input, compare exits 0, 1 or 2 without a traceback, and
+    # a failure prints exactly one error line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        argv = ["compare", path, "--quiet", "--quantity", quantity]
+        if fix_fg is not None:
+            argv += ["--fix-fg", fix_fg]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # how argparse ends on a usage error
+                code = exc.code
+    assert code in (0, 1, 2)
+    errors = [line for line in stderr.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == (0 if code == 0 else 1)
 
 
 def test_series_single_temperature_manifest_fails_cleanly(tmp_path):

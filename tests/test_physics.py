@@ -1,13 +1,17 @@
+import json
 import math
 
 import pytest
 
 from oracles import simpson_reduced_debye
+from zplkit.cli import _model_block
 from zplkit.errors import DomainError
-from zplkit.physics import (BOLTZMANN_MEV_PER_K, HBAR_MEV_PS, AcousticDebye,
-                            CubicLaw, OpticalMode, bose_einstein,
-                            cubic_asymptote, debye_integral, make_model,
-                            reduced_debye_integral)
+from zplkit.fitting import ModelComparison, build_series_problem
+from zplkit.io_formats import generate_synthetic_series
+from zplkit.physics import (BOLTZMANN_MEV_PER_K, HBAR_MEV_PS, MODEL_KINDS,
+                            AcousticDebye, CubicLaw, OpticalMode,
+                            bose_einstein, cubic_asymptote, debye_integral,
+                            make_model, reduced_debye_integral)
 
 # golden value pinned with an arbitrary-precision oracle (40 digits)
 BOSE_18MEV_300K = 0.9937813313789182
@@ -139,9 +143,42 @@ def test_model_validation():
         CubicLaw(1.0, gaussian_floor=-0.1)
     with pytest.raises(DomainError):
         make_model("nope", 1.0)
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        AcousticDebye(nan, 600.0)
+    with pytest.raises(DomainError):
+        AcousticDebye(1.0, nan)
+    with pytest.raises(DomainError):
+        OpticalMode(1.0, nan)
+    with pytest.raises(DomainError):
+        CubicLaw(nan)
+    with pytest.raises(DomainError):
+        CubicLaw(1.0, gaussian_floor=nan)
 
 
-def test_make_model_kinds():
+def test_make_model_kinds(tmp_path):
     assert isinstance(make_model("acoustic_debye", 1.0), AcousticDebye)
     assert isinstance(make_model("cubic_law", 1.0), CubicLaw)
     assert isinstance(make_model("optical_mode", 1.0), OpticalMode)
+    temps = [0.0, 1.5, 10.0, 77.0, 150.0, 270.0, 412.7]
+    shape_keys = {"acoustic_debye": {"debye_temperature_K"},
+                  "cubic_law": set(), "optical_mode": {"phonon_energy_meV"}}
+    for kind in MODEL_KINDS:
+        unit = make_model(kind, 1.0)
+        assert unit.kind == kind
+        # the series fit's basis is the unit-amplitude model, bit for bit
+        *_, basis = build_series_problem(temps, temps, kind)
+        assert basis.tolist() == [unit.lorentzian_fwhm(t) for t in temps]
+        row = ModelComparison(model=make_model(kind, 2.0, gaussian_floor=0.5),
+                              rss=1.0, n_free=1, aic=0.0, delta_aic=0.0)
+        block = _model_block(row)
+        assert block["kind"] == row.kind == kind
+        assert set(block["params"]) == (
+            {"amplitude", "gaussian_floor_meV"} | shape_keys[kind])
+    # a model without shape parameters still writes both manifest defaults
+    manifest = generate_synthetic_series(tmp_path, CubicLaw(3.5e-7),
+                                         temperatures=(10.0, 30.0),
+                                         n_points=64)
+    with open(manifest, encoding="utf-8") as fh:
+        metadata = json.load(fh)["metadata"]
+    assert metadata == {"theta_D_K": 600.0, "phonon_energy_meV": 18.0}
