@@ -13,13 +13,16 @@ from . import __version__
 from .errors import (ConfigError, DomainError, FitError, FormatError,
                      InsufficientDecayError, ParseError, QuadratureError)
 from .fitting import analyze_series, classify_lineshape, compare_models, fit_voigt
-from .io_formats import (_atomic_write_text, generate_synthetic_series,
-                         load_manifest, load_result_record, load_series,
-                         load_spectrum, save_spectrum, sha256_of_file,
-                         write_result_record)
+from .io_formats import (_atomic_write_text, _read_text,
+                         generate_synthetic_series, load_manifest,
+                         load_result_record, load_series, load_spectrum,
+                         save_spectrum, sha256_of_file, write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
 from .physics import MODEL_KINDS, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
+
+
+_MAX_SYNTH_TEMPERATURES = 1000  # most spectra one `synth` run may write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,18 +218,16 @@ def _load_points(path, quantity):
                         f"gaussian_floor_meV in {path}")
         return points, floor
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ParseError("expected 'temperature_K,linewidth_meV'",
-                                 lineno)
-            where = f"field in {text!r}"
-            points.append((_finite(parts[0], where, lineno),
-                           _linewidth(parts[1], quantity, where, lineno)))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ParseError("expected 'temperature_K,linewidth_meV'", lineno)
+        where = f"field in {text!r}"
+        points.append((_finite(parts[0], where, lineno),
+                       _linewidth(parts[1], quantity, where, lineno)))
     return points, 0.0
 
 
@@ -274,9 +275,14 @@ def cmd_simulate(args):
 def cmd_synth(args):
     if not args.t_step > 0:
         raise ConfigError(f"--t-step must be > 0, got {args.t_step}")
+    t_stop = args.t_stop + 1e-9
+    # np.arange's length, checked before it allocates (inf on overflow)
+    if (t_stop - args.t_start) / args.t_step > _MAX_SYNTH_TEMPERATURES:
+        raise ConfigError(f"--t-step {args.t_step:g} gives more than "
+                          f"{_MAX_SYNTH_TEMPERATURES} temperatures")
     model = make_model(args.model, args.amplitude, debye_temperature=args.theta_d,
                        phonon_energy=args.phonon_energy)
-    temperatures = np.arange(args.t_start, args.t_stop + 1e-9, args.t_step)
+    temperatures = np.arange(args.t_start, t_stop, args.t_step)
     manifest_path = generate_synthetic_series(
         args.out_dir, model, gaussian_floor=args.fg,
         temperatures=temperatures, peak_snr=args.snr,

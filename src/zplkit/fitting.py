@@ -347,13 +347,16 @@ def extract_components(fits: Sequence[tuple], mode="shared_fg"):
     if mode == "free":
         pairs = [(t, f.params.lorentzian_fwhm) for t, f in ordered]
     elif mode == "shared_fg":
-        pairs = []
-        for t, f in ordered:
-            total = voigt_fwhm(f.params.gaussian_fwhm, f.params.lorentzian_fwhm)
-            pairs.append((t, invert_voigt_fwhm(max(total, floor), floor)))
+        pairs = _lorentzian_parts(ordered, floor)
     else:
         raise DomainError(f"unknown extraction mode {mode!r}")
     return floor, pairs
+
+
+def _lorentzian_parts(fits, floor):
+    """(T, f_L) pairs of (T, VoigtFit) pairs under a shared Gaussian floor."""
+    return [(t, invert_voigt_fwhm(max(f.total_fwhm, floor), floor))
+            for t, f in fits]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +380,9 @@ def build_series_problem(temperatures, values, kind, *, quantity="total",
 
     Exposed for the same reason as build_voigt_problem: the analytic
     Jacobian is part of the engine contract and is checked against central
-    finite differences.  Parameters are [sqrt(amplitude)] plus
-    [sqrt(floor)] when `fit_floor`; shape parameters default when None.
+    finite differences.  Parameters are [amplitude] plus [floor] when
+    `fit_floor`, both meant to be bounded below by zero; shape parameters
+    default when None.
     """
     temps = np.asarray(temperatures, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -387,9 +391,7 @@ def build_series_problem(temperatures, values, kind, *, quantity="total",
     basis = np.array([unit.lorentzian_fwhm(t) for t in temps])
 
     def unpack(p):
-        amplitude = p[0] ** 2
-        floor = p[1] ** 2 if fit_floor else gaussian_floor
-        return amplitude, floor
+        return p[0], (p[1] if fit_floor else gaussian_floor)
 
     def residual(p):
         amplitude, floor = unpack(p)
@@ -406,9 +408,9 @@ def build_series_problem(temperatures, values, kind, *, quantity="total",
             d_fl, d_fg = _fwhm_partials(f_l, floor)
         else:
             d_fl, d_fg = np.ones_like(f_l), np.zeros_like(f_l)
-        columns = [d_fl * basis * 2.0 * p[0]]
+        columns = [d_fl * basis]
         if fit_floor:
-            columns.append(d_fg * 2.0 * p[1])
+            columns.append(d_fg)
         return np.stack(columns, axis=1)
 
     return residual, jacobian, unpack, basis
@@ -454,17 +456,11 @@ def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
     i_ref = int(np.argmax(basis))
     if basis[i_ref] <= 0:
         raise DomainError("model basis vanishes at every temperature")
-    if quantity == "total":
-        y_ref = max(y[i_ref], floor0)
-        amp0 = invert_voigt_fwhm(y_ref, min(floor0, y_ref)) / basis[i_ref]
-    else:
-        amp0 = y[i_ref] / basis[i_ref]
-    amp0 = max(amp0, 1e-12)
-
-    p0 = [math.sqrt(amp0)]
-    if fit_floor:
-        p0.append(math.sqrt(max(floor0, 1e-12)))
-    result = least_squares(residual, jacobian, p0,
+    # the Lorentzian part of the width where the basis is largest
+    f_l0 = (invert_voigt_fwhm(max(y[i_ref], floor0), floor0)
+            if quantity == "total" else y[i_ref])
+    p0 = [f_l0 / basis[i_ref]] + ([floor0] if fit_floor else [])
+    result = least_squares(residual, jacobian, p0, lower=[0.0] * len(p0),
                            max_iterations=max_iterations)
     if not result.converged:
         raise NotConvergedError(
@@ -516,16 +512,12 @@ def analyze_series(series, *, quantity="total", gaussian_floor=None,
     """
     ordered = sorted(series, key=lambda ts: ts[0])
     fits = tuple((t, fit_voigt(s, weighted=weighted)) for t, s in ordered)
-    floor_est, lorentzian_pairs = extract_components(fits, mode="shared_fg")
+    floor_est, _ = extract_components(fits, mode="shared_fg")
     floor = floor_est if gaussian_floor is None else float(gaussian_floor)
     if quantity == "total":
         points = [(t, f.total_fwhm) for t, f in fits]
     elif quantity == "lorentzian":
-        if gaussian_floor is None:
-            points = lorentzian_pairs
-        else:
-            points = [(t, invert_voigt_fwhm(max(f.total_fwhm, floor), floor))
-                      for t, f in fits]
+        points = _lorentzian_parts(fits, floor)
     else:
         raise DomainError(f"unknown quantity {quantity!r}")
     comparisons = tuple(compare_models(

@@ -56,6 +56,24 @@ def _atomic_write_text(path, text):
         raise
 
 
+def _read_text(path):
+    """The whole file as text; bytes that are not UTF-8 are a parse error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _load_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}", exc.lineno)
+    except RecursionError:
+        raise ParseError(f"JSON in {path} is nested too deeply") from None
+
+
 def _fmt(value):
     return f"{value:.6g}"
 
@@ -73,8 +91,7 @@ def save_spectrum(spectrum, path):
 
 def load_spectrum(path, temperature=None, emitter_id=None) -> Spectrum:
     """Parse a spectrum file; explicit arguments override header comments."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+    raw = _read_text(path).split("\n")  # universal newlines: all "\n"
     energies, intensities = [], []
     meta_temperature = 0.0
     meta_emitter = ""
@@ -97,10 +114,13 @@ def load_spectrum(path, temperature=None, emitter_id=None) -> Spectrum:
             raise ParseError(f"expected 2 comma-separated fields, got "
                              f"{len(parts)}", lineno)
         try:
-            energies.append(float(parts[0]))
-            intensities.append(float(parts[1]))
+            e, i = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(f"non-numeric field in {text!r}", lineno)
+        if not (math.isfinite(e) and math.isfinite(i)):
+            raise ParseError(f"non-finite field in {text!r}", lineno)
+        energies.append(e)
+        intensities.append(i)
     if not energies:
         raise EmptyFileError(f"no data rows in {path}")
     energy = np.array(energies)
@@ -132,8 +152,9 @@ class SeriesManifest:
 
     def __post_init__(self):
         temps = [e.temperature for e in self.entries]
-        if any(t <= 0 for t in temps):
-            raise DomainError("manifest temperatures must be positive")
+        if not all(0 < t < math.inf for t in temps):
+            raise DomainError("manifest temperatures must be positive "
+                              "and finite")
         if len(set(temps)) != len(temps):
             raise DomainError("manifest temperatures must be unique")
 
@@ -154,15 +175,11 @@ def save_manifest(manifest, path):
 
 
 def load_manifest(path) -> SeriesManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}", exc.lineno)
+    doc = _load_json(path)
     try:
+        meta = doc.get("metadata", {})
         entries = tuple(ManifestEntry(float(e["temperature_K"]), str(e["path"]))
                         for e in doc["entries"])
-        meta = doc.get("metadata", {})
         manifest = SeriesManifest(
             emitter_id=str(doc.get("emitter_id", "")),
             entries=entries,
@@ -171,7 +188,9 @@ def load_manifest(path) -> SeriesManifest:
             phonon_energy=float(meta.get(
                 "phonon_energy_meV", SHAPE_DEFAULTS["phonon_energy"])),
             base_dir=os.path.dirname(os.path.abspath(path)))
-    except (KeyError, TypeError, ValueError) as exc:
+    # a value of the wrong JSON type, or an integer too large for a float
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise ParseError(f"malformed manifest {path}: {exc}") from exc
     for entry in manifest.entries:
         resolved = manifest.resolve(entry)
@@ -211,11 +230,7 @@ def write_result_record(record, path):
 
 
 def load_result_record(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}", exc.lineno)
+    return _load_json(path)
 
 
 def sha256_of_file(path):
@@ -249,7 +264,9 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
     `gaussian_floor`, and the line center drifts linearly from
     `center_start` to `center_end` across the temperature range.  Peak
     intensity is peak_snr**2 counts with Poisson noise (peak_snr = 0 writes
-    noiseless profiles).  Deterministic for a fixed seed.
+    noiseless profiles).  Deterministic for a fixed seed.  Every spectrum
+    is computed before the first file is written, so invalid input leaves
+    no file behind.
     """
     temperatures = sorted(float(t) for t in temperatures)
     if len(temperatures) < 1:
@@ -258,10 +275,18 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
         raise DomainError("peak_snr must be >= 0")
     if n_points < 21:
         raise DomainError("n_points must be >= 21")
-    os.makedirs(out_dir, exist_ok=True)
+    peak_counts = peak_snr ** 2 if peak_snr > 0 else 1.0
+    if baseline >= peak_counts:
+        raise DomainError("baseline must stay below the peak count")
+    # checks the temperatures (positive, finite, unique)
+    manifest = SeriesManifest(
+        emitter_id=emitter_id, base_dir=os.fspath(out_dir),
+        entries=tuple(ManifestEntry(t, f"spectrum_{index:02d}_{t:g}K.csv")
+                      for index, t in enumerate(temperatures)),
+        **model.shape_values())
     t_lo, t_hi = temperatures[0], temperatures[-1]
     span = t_hi - t_lo
-    entries = []
+    spectra = []
     for index, temperature in enumerate(temperatures):
         frac = (temperature - t_lo) / span if span > 0 else 0.0
         center = center_start + frac * (center_end - center_start)
@@ -272,9 +297,6 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
                              baseline=baseline)
         energy = _synthetic_grid(center, f_v, n_points)
         peak_density = voigt_profile(0.0, params.sigma, params.gamma)
-        peak_counts = peak_snr ** 2 if peak_snr > 0 else 1.0
-        if baseline >= peak_counts:
-            raise DomainError("baseline must stay below the peak count")
         amplitude = (peak_counts - baseline) / peak_density
         intensity = baseline + amplitude * voigt_profile(
             energy - center, params.sigma, params.gamma)
@@ -282,15 +304,12 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
             intensity = rng.poisson(intensity).astype(float)
-        name = f"spectrum_{index:02d}_{temperature:g}K.csv"
-        save_spectrum(Spectrum(energy=energy, intensity=intensity,
-                               temperature=temperature,
-                               emitter_id=emitter_id),
-                      os.path.join(out_dir, name))
-        entries.append(ManifestEntry(temperature, name))
-    manifest = SeriesManifest(
-        emitter_id=emitter_id, entries=tuple(entries),
-        base_dir=os.fspath(out_dir), **model.shape_values())
+        spectra.append(Spectrum(energy=energy, intensity=intensity,
+                                temperature=temperature,
+                                emitter_id=emitter_id))
+    os.makedirs(out_dir, exist_ok=True)
+    for entry, spectrum in zip(manifest.entries, spectra):
+        save_spectrum(spectrum, manifest.resolve(entry))
     manifest_path = os.path.join(out_dir, manifest_name)
     save_manifest(manifest, manifest_path)
     return manifest_path

@@ -3,10 +3,8 @@
 Small and self-contained on purpose: the callers supply analytic Jacobians,
 which keeps convergence behavior reproducible and lets tests check the
 Jacobians against central finite differences.  Damping follows the standard
-gain-ratio update (Madsen/Nielsen/Tingleff) with Marquardt diagonal scaling,
-plus the geodesic-acceleration correction (Transtrum-style): strongly
-correlated width parameters put the minimum at the end of a curved, narrow
-valley where plain damped steps creep.
+gain-ratio update (Madsen/Nielsen/Tingleff) with Marquardt diagonal scaling;
+each iteration is one linear solve and one residual evaluation.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ __all__ = ["LeastSquaresResult", "least_squares"]
 
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e15
-_ACCEL_H = 0.1          # fractional step for the directional 2nd derivative
-_ACCEL_LIMIT = 0.75     # reject steps whose curvature correction dominates
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,8 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
     Bounds are handled by projection (Kanzow, Yamashita & Fukushima 2004):
     each trial point is clipped onto the bounds (a value within `step_tol`
     of its bound counts as on it), and a parameter sitting on its bound
-    whose gradient points outward is frozen for that step.
+    whose gradient points outward is frozen for that step.  A bound of
+    -inf makes both no-ops.
 
     Convergence: relative RSS change below `rss_rtol`, or proposed step norm
     below `step_tol`, or no descent direction left at maximal damping.  One
@@ -78,14 +75,13 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
     if lower.shape != p.shape:
         raise DomainError("lower bounds and p0 differ in length")
 
-    bounded = bool(np.isfinite(lower).any())
     # a point within step_tol of a bound is put on it: an optimum on the
     # bound is otherwise only reached to within a rounding error, on either
     # side of it
     snap = lower + step_tol
 
     def project(point):
-        return np.where(point < snap, lower, point) if bounded else point
+        return np.where(point < snap, lower, point)
 
     p = project(p)
     r = np.asarray(residual(p), dtype=float)
@@ -101,9 +97,9 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
         hess = jac.T @ jac
         diag = np.diag(hess).copy()
         # unit damping for zero-curvature directions keeps the solve regular
-        return jac, grad, hess, np.where(diag > 0, diag, 1.0)
+        return grad, hess, np.where(diag > 0, diag, 1.0)
 
-    jac, grad, hess, scale = linearize(p, r)
+    grad, hess, scale = linearize(p, r)
     lam = _LAMBDA_INIT
     growth = 2.0
     reason = "cap"
@@ -112,9 +108,8 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
     for iteration in range(1, max_iterations + 1):
         damped = hess + lam * np.diag(scale)
         rhs = -grad
-        frozen = (p <= lower) & (grad > 0) if bounded else None
-        any_frozen = bounded and frozen.any()
-        if any_frozen:
+        frozen = (p <= lower) & (grad > 0)
+        if frozen.any():
             # identity rows and columns with a zero right-hand side keep
             # the step at zero there
             damped[frozen] = 0.0
@@ -122,10 +117,10 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
             damped[frozen, frozen] = 1.0
             rhs[frozen] = 0.0
         try:
-            velocity = np.linalg.solve(damped, rhs)
+            step = np.linalg.solve(damped, rhs)
         except np.linalg.LinAlgError:
-            velocity = None
-        if velocity is None or not np.all(np.isfinite(velocity)):
+            step = np.full(p.size, np.nan)
+        if not np.all(np.isfinite(step)):
             n_rejected += 1
             lam *= growth
             growth *= 2.0
@@ -133,29 +128,11 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
                 raise IllConditionedError(
                     "normal equations stay singular at maximal damping")
             continue
-        v_norm = float(np.linalg.norm(velocity))
-        if v_norm < step_tol:
+        if float(np.linalg.norm(step)) < step_tol:
             reason = "step_tol"
             break
-        p_try = project(p + velocity)
+        p_try = project(p + step)
         h = p_try - p  # the projected step, for the predicted decrease
-
-        # geodesic acceleration: second directional derivative of the
-        # residual along the proposed step, by one extra evaluation
-        r_probe = np.asarray(residual(p + _ACCEL_H * velocity), dtype=float)
-        if np.all(np.isfinite(r_probe)):
-            rpp = 2.0 * (r_probe - r - _ACCEL_H * (jac @ velocity)) / _ACCEL_H ** 2
-            rhs = -0.5 * (jac.T @ rpp)
-            if any_frozen:
-                rhs[frozen] = 0.0
-            try:
-                accel = np.linalg.solve(damped, rhs)
-            except np.linalg.LinAlgError:
-                accel = None
-            if accel is not None and np.all(np.isfinite(accel)):
-                if float(np.linalg.norm(accel)) <= _ACCEL_LIMIT * v_norm:
-                    p_try = project(p + velocity + accel)
-
         r_try = np.asarray(residual(p_try), dtype=float)
         rss_try = float(r_try @ r_try)
         if np.isfinite(rss_try) and rss_try <= rss:
@@ -168,7 +145,7 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
             lam = max(lam, 1e-15)
             growth = 2.0
             p, r, rss = p_try, r_try, rss_try
-            jac, grad, hess, scale = linearize(p, r)
+            grad, hess, scale = linearize(p, r)
             if drop <= rss_rtol * max(rss, 1e-300):
                 reason = "rss_rtol"
                 break

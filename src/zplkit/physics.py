@@ -41,9 +41,10 @@ def bose_einstein(energy, temperature):
         raise DomainError(f"energy must be > 0, got {energy}")
     if temperature < 0:
         raise DomainError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0:
+    kt = BOLTZMANN_MEV_PER_K * temperature
+    if energy > 746.0 * kt:  # exp(-E/kT) is 0.0; E/kT itself may overflow
         return 0.0
-    x = energy / (BOLTZMANN_MEV_PER_K * temperature)
+    x = energy / kt
     if x > 700.0:
         return math.exp(-x)
     return 1.0 / math.expm1(x)
@@ -102,7 +103,10 @@ def debye_integral(temperature, debye_temperature, rel_tol=1e-10):
             f"Debye temperature must be > 0, got {debye_temperature}")
     if temperature == 0:
         return 0.0
-    value, _ = reduced_debye_integral(debye_temperature / temperature, rel_tol)
+    # theta_D / T overflows for a subnormal T; inf takes the same tail branch
+    x_d = (math.inf if temperature < 1e-300 * debye_temperature
+           else debye_temperature / temperature)
+    value, _ = reduced_debye_integral(x_d, rel_tol)
     rate = BOLTZMANN_MEV_PER_K * temperature / HBAR_MEV_PS
     return rate ** 3 * value
 

@@ -226,6 +226,38 @@ def test_exit_codes(tmp_path):
         assert sum(line.startswith("error:")
                    for line in result.stderr.splitlines()) == 1
     assert not os.path.exists(out)
+    # synth writes no spectrum when it cannot finish: a zero temperature,
+    # and steps that ask for more temperatures than one run may write
+    # (0.26 gives 1,001 from 10 K to 270 K)
+    for args in (("--t-start", "0"), ("--t-step", "1e-300"),
+                 ("--t-step", "0.26")):
+        result = run_cli("synth", "--out-dir", out, *args)
+        assert result.returncode == 1, args
+        assert result.stderr.startswith("error: parse:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not os.path.exists(out)
+    # a manifest whose metadata is not an object, and files that are not
+    # UTF-8 text, are parse errors
+    spectrum = tmp_path / "s.csv"
+    save_spectrum(synthetic_voigt_spectrum(1820.0, 0.7, 0.1)[0], spectrum)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"temperature_K": 10.0, "path": "s.csv"}], "metadata": []}))
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for args in (("series", str(manifest)), ("series", str(binary)),
+                 ("fit", str(binary)), ("compare", str(binary))):
+        result = run_cli(*args)
+        assert result.returncode == 1, args
+        assert result.stderr.startswith("error: parse:")
+        assert len(result.stderr.splitlines()) == 1
+    # a successful run prints nothing on stderr, not even a numpy warning
+    # (a subnormal temperature overflows E/kT and theta_D/T)
+    subnormal = tmp_path / "subnormal.csv"
+    subnormal.write_text("1e-310,1\n20,2\n40,3\n60,4\n")
+    result = run_cli("compare", str(subnormal))
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 _NUMBER_TEXT = st.one_of(st.floats(min_value=0.0, max_value=600.0),
@@ -280,6 +312,8 @@ def test_compare_any_input_exits_cleanly(content, quantity, fix_fg):
     errors = [line for line in stderr.getvalue().splitlines()
               if line.startswith("error:")]
     assert len(errors) == (0 if code == 0 else 1)
+    if code == 0:
+        assert stderr.getvalue() == ""
 
 
 def test_series_single_temperature_manifest_fails_cleanly(tmp_path):

@@ -244,6 +244,22 @@ def test_fit_series_bare_component_quantity():
                    fit_floor=True)
 
 
+def test_fit_series_amplitude_and_floor_stop_on_their_bounds():
+    # a linewidth that falls with temperature: under amplitude >= 0 the
+    # best fit is amplitude 0, exactly, and a floor equal to the mean width
+    temps = np.array(SERIES_GRID)
+    y = 5.0 - temps / 100.0
+    fit = fit_series(list(zip(temps, y)), "cubic_law", quantity="total",
+                     fit_floor=True)
+    assert fit.model.amplitude == 0.0
+    assert fit.model.gaussian_floor == pytest.approx(y.mean(), rel=1e-9)
+    assert fit.rss == pytest.approx(((y - y.mean()) ** 2).sum(), rel=1e-9)
+    # widths below the fixed floor: no Lorentzian part at all
+    below = fit_series([(t, 0.5) for t in temps], "acoustic_debye",
+                       quantity="total", gaussian_floor=0.72)
+    assert below.model.amplitude == 0.0
+
+
 def test_fit_series_insufficient_data():
     points = _acoustic_total_points()[:2]
     with pytest.raises(InsufficientDataError):

@@ -1,11 +1,13 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import synthetic_voigt_spectrum
-from zplkit.errors import (DomainError, EmptyFileError, NonMonotonicGridError,
-                           ParseError)
+from zplkit.errors import (DomainError, EmptyFileError, FormatError,
+                           NonMonotonicGridError, ParseError)
 from zplkit.fitting import fit_voigt
 from zplkit.io_formats import (ManifestEntry, SeriesManifest,
                                generate_synthetic_series, load_manifest,
@@ -73,6 +75,77 @@ def test_manifest_round_trip_and_validation(tmp_path):
                              ManifestEntry(10.0, "b")))
     with pytest.raises(DomainError):
         SeriesManifest("X", (ManifestEntry(-4.0, "a"),))
+
+
+def test_manifest_metadata_must_be_an_object(tmp_path):
+    spec, _ = synthetic_voigt_spectrum(1820.0, 0.7, 0.1, n_points=60)
+    save_spectrum(spec, tmp_path / "s1.csv")
+    for doc in ({"entries": [{"temperature_K": 10.0, "path": "s1.csv"}],
+                 "metadata": []},
+                [{"temperature_K": 10.0, "path": "s1.csv"}]):
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_manifest(tmp_path / "m.json")
+
+
+def _loads_or_raises_format_error(load, data):
+    # any file content either loads or raises FormatError, nothing else
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, _ = synthetic_voigt_spectrum(1820.0, 0.7, 0.1, n_points=30)
+        save_spectrum(spec, os.path.join(tmp, "s.csv"))
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(data if isinstance(data, bytes)
+                     else data.encode("utf-8", "surrogatepass"))
+        try:
+            load(path)
+        except FormatError:
+            pass
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=6), st.sampled_from(["s.csv", "ghost.csv"])),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+_ENTRY = st.fixed_dictionaries(
+    {}, optional={"temperature_K": _JSON, "path": _JSON})
+_MANIFEST = st.fixed_dictionaries({}, optional={
+    "entries": st.one_of(_JSON, st.lists(st.one_of(_ENTRY, _JSON),
+                                         max_size=3)),
+    "metadata": st.one_of(_JSON, st.fixed_dictionaries({}, optional={
+        "theta_D_K": _JSON, "phonon_energy_meV": _JSON})),
+    "emitter_id": _JSON})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.text(), st.binary(max_size=16),
+                      _JSON.map(json.dumps), _MANIFEST.map(json.dumps)))
+def test_load_manifest_any_input_loads_or_raises_format_error(data):
+    _loads_or_raises_format_error(load_manifest, data)
+
+
+_NUMBER = st.one_of(st.floats(), st.integers(-10 ** 30, 10 ** 30),
+                    st.floats(min_value=0.0, max_value=2000.0),
+                    st.sampled_from(["inf", "-inf", "nan", "1e999"])).map(str)
+_LINE = st.one_of(
+    st.text(max_size=10),
+    st.tuples(_NUMBER, _NUMBER).map(",".join),
+    _NUMBER.map(lambda v: f"# temperature_K = {v}"),
+    st.text(max_size=6).map(lambda v: f"# emitter_id = {v}"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(
+    st.text(), st.binary(max_size=16),
+    st.lists(_LINE, max_size=30).map("\n".join),
+    # ascending grids long enough to load, with random lines inserted
+    st.tuples(st.integers(0, 25), st.lists(_LINE, max_size=3)).map(
+        lambda x: "\n".join([f"{i}.0,{i % 7}" for i in range(x[0])] + x[1]
+                            + [f"{i}.0,1" for i in range(x[0], 25)]))))
+def test_load_spectrum_any_input_loads_or_raises_format_error(data):
+    _loads_or_raises_format_error(load_spectrum, data)
 
 
 def test_manifest_missing_file_rejected(tmp_path):
@@ -152,6 +225,16 @@ def test_generate_noiseless_round_trip(tmp_path):
     fit0 = fit_voigt(spec0)
     assert fit0.params.center == pytest.approx(1820.2, abs=1e-4)
     assert fit.params.center == pytest.approx(1813.5, abs=1e-4)
+
+
+def test_generate_writes_nothing_for_invalid_temperatures(tmp_path):
+    model = AcousticDebye(6.82, 600.0)
+    for temps in ((10.0, 30.0, 0.0), (10.0, 30.0, 30.0),
+                  (10.0, float("nan")), (10.0, float("inf"))):
+        out = tmp_path / "out"
+        with pytest.raises(DomainError):
+            generate_synthetic_series(out, model, temperatures=temps)
+        assert not out.exists()
 
 
 def test_generate_is_deterministic(tmp_path):

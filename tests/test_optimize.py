@@ -28,7 +28,7 @@ def test_recovers_linear_solution_exactly():
     assert result.rss < 1e-18
 
 
-def test_nonlinear_exponential_fit():
+def _exponential_problem():
     t = np.linspace(0, 5, 80)
     y = 3.0 * np.exp(-1.7 * t) + 0.25
 
@@ -40,14 +40,34 @@ def test_nonlinear_exponential_fit():
                          -p[0] * t * np.exp(-p[1] * t),
                          np.ones_like(t)], axis=1)
 
+    return residual, jacobian
+
+
+def test_nonlinear_exponential_fit():
+    residual, jacobian = _exponential_problem()
     result = least_squares(residual, jacobian, [1.0, 1.0, 0.0])
     assert result.converged
     assert np.allclose(result.params, [3.0, 1.7, 0.25], rtol=1e-8)
 
 
+def test_one_residual_evaluation_per_iteration():
+    # one trial point per iteration plus the start point, nothing else
+    residual, jacobian = _exponential_problem()
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return residual(p)
+
+    result = least_squares(counted, jacobian, [1.0, 1.0, 0.0])
+    assert result.converged
+    assert result.n_iterations > 3
+    assert len(calls) <= result.n_iterations + 1
+
+
 def test_curved_valley_converges():
-    # Rosenbrock in least-squares form: the archetype of the narrow
-    # curved valley the geodesic correction exists for
+    # Rosenbrock in least-squares form: the archetype of a narrow curved
+    # valley, where damped steps must follow the bend
     def residual(p):
         return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from oracles import simpson_reduced_debye
@@ -40,6 +41,16 @@ def test_bose_einstein_high_energy_asymptote():
         energy = x * BOLTZMANN_MEV_PER_K * t
         n = bose_einstein(energy, t)
         assert n == pytest.approx(math.exp(-x), rel=1e-12)
+
+
+def test_subnormal_temperature_overflows_nothing():
+    # E/kT and theta_D/T overflow for a subnormal T: n is 0 and the band
+    # integral takes its tail branch, without a numpy overflow warning
+    tiny = np.float64(1e-310)
+    assert bose_einstein(18.0, tiny) == 0.0
+    assert bose_einstein(746.5 * BOLTZMANN_MEV_PER_K * 100.0, 100.0) == 0.0
+    assert debye_integral(tiny, np.float64(600.0)) == 0.0
+    assert debye_integral(1e-300, 600.0) == 0.0
 
 
 def test_reduced_debye_matches_simpson_oracle():
