@@ -13,10 +13,10 @@ from . import __version__
 from .errors import (ConfigError, DomainError, FitError, FormatError,
                      InsufficientDecayError, ParseError, QuadratureError)
 from .fitting import analyze_series, classify_lineshape, compare_models, fit_voigt
-from .io_formats import (_atomic_write_text, _read_text,
-                         generate_synthetic_series, load_manifest,
-                         load_result_record, load_series, load_spectrum,
-                         save_spectrum, sha256_of_file, write_result_record)
+from .io_formats import (_finite, _write_table, generate_synthetic_series,
+                         load_linewidths, load_manifest, load_series,
+                         load_spectrum, save_spectrum, sha256_of_file,
+                         write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
 from .physics import MODEL_KINDS, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
@@ -103,8 +103,8 @@ def cmd_fit(args):
             "fit": _fit_block(spectrum.temperature, fit),
             "classification": {
                 "label": classification.label,
-                "rss_gaussian": classification.rss_gaussian,
-                "rss_lorentzian": classification.rss_lorentzian,
+                "rss_gaussian": classification.fit_gaussian.rss,
+                "rss_lorentzian": classification.fit_lorentzian.rss,
                 "rss_ratio": classification.rss_ratio,
             },
             "provenance": _provenance([args.spectrum]),
@@ -118,11 +118,10 @@ def _write_curves(args, result, t_lo, t_hi):
     grid = np.arange(max(1.0, math.floor(t_lo)), math.ceil(t_hi) + 0.5, 1.0)
     for row in result.comparisons:
         path = os.path.join(args.curves_dir, f"curve_{row.kind}.csv")
-        lines = ["# temperature_K,lorentzian_fwhm_meV,total_fwhm_meV"]
-        for t in grid:
-            f_l = row.model.lorentzian_fwhm(t)
-            lines.append(f"{t:.6g},{f_l:.6g},{voigt_fwhm(result.gaussian_floor, f_l):.6g}")
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        f_l = [row.model.lorentzian_fwhm(t) for t in grid]
+        total = [voigt_fwhm(result.gaussian_floor, f) for f in f_l]
+        _write_table(path, ["# temperature_K,lorentzian_fwhm_meV,total_fwhm_meV"],
+                     (grid, f_l, total))
         _say(args, f"wrote {path}")
 
 
@@ -163,76 +162,16 @@ def cmd_series(args):
     return 0
 
 
-def _finite(value, where, lineno=None):
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"non-numeric {where}: {value!r}", lineno)
-    if not math.isfinite(number):
-        raise ParseError(f"non-finite {where}: {value!r}", lineno)
-    return number
-
-
 def _number(text):
     """argparse type of every float flag: a finite number."""
     try:
-        return _finite(text, "value")
+        return _finite(text)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _linewidth(value, quantity, where, lineno=None):
-    # a total FWHM is positive; a Lorentzian component may sit on its
-    # bound of zero, as fits of pure Gaussian lines report it
-    number = _finite(value, where, lineno)
-    if number < 0 or (quantity == "total" and number == 0):
-        raise ParseError(f"invalid {quantity} linewidth {where}: {value!r}",
-                         lineno)
-    return number
-
-
-def _load_points(path, quantity):
-    """(T, linewidth) pairs from a result record or a bare two-column table;
-    every value must be a finite number, a total linewidth positive and a
-    Lorentzian one non-negative."""
-    try:
-        record = load_result_record(path)
-    except ParseError:
-        record = None
-    if isinstance(record, dict):
-        blocks = record.get("per_temperature")
-        if not isinstance(blocks, list):
-            raise ParseError(f"record {path} carries no per-temperature fits")
-        key = ("total_fwhm_meV" if quantity == "total"
-               else "lorentzian_fwhm_meV")
-        points = []
-        for i, block in enumerate(blocks):
-            if not (isinstance(block, dict) and "temperature_K" in block
-                    and key in block):
-                raise ParseError(f"record {path}: per_temperature[{i}] "
-                                 f"lacks temperature_K or {key}")
-            where = f"value in per_temperature[{i}] of {path}"
-            points.append((_finite(block["temperature_K"], where),
-                           _linewidth(block[key], quantity, where)))
-        floor = _finite(record.get("gaussian_floor_meV", 0.0),
-                        f"gaussian_floor_meV in {path}")
-        return points, floor
-    points = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ParseError("expected 'temperature_K,linewidth_meV'", lineno)
-        where = f"field in {text!r}"
-        points.append((_finite(parts[0], where, lineno),
-                       _linewidth(parts[1], quantity, where, lineno)))
-    return points, 0.0
-
-
 def cmd_compare(args):
-    points, record_floor = _load_points(args.input, args.quantity)
+    points, record_floor = load_linewidths(args.input, args.quantity)
     floor = args.fix_fg if args.fix_fg is not None else record_floor
     rows = compare_models(points, kinds=args.models, quantity=args.quantity,
                           gaussian_floor=floor if args.quantity == "total" else 0.0,
@@ -259,10 +198,8 @@ def cmd_simulate(args):
                               n_trajectories=args.n_traj, seed=args.seed)
     trace = mc_coherence(config)
     spectrum = spectrum_from_coherence(trace, args.center)
-    lines = ["# t_ps,g_real,g_imag,stderr"]
-    for t, g, se in zip(trace.t, trace.g, trace.stderr):
-        lines.append(f"{t:.9g},{g.real:.9g},{g.imag:.9g},{se:.9g}")
-    _atomic_write_text(args.output_coherence, "\n".join(lines) + "\n")
+    _write_table(args.output_coherence, ["# t_ps,g_real,g_imag,stderr"],
+                 (trace.t, trace.g.real, trace.g.imag, trace.stderr), digits=9)
     save_spectrum(spectrum, args.output_spectrum)
     _say(args, f"seed            {config.seed}")
     _say(args, f"fwhm            "
@@ -390,9 +327,15 @@ def _build_parser():
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
-    # OverflowError: a finite input too large for float arithmetic
-    except (FormatError, ConfigError, DomainError, QuadratureError, OverflowError) as exc:
+        # a float overflow, division by zero or invalid operation raises
+        # instead of printing a warning beside the result
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except ArithmeticError as exc:  # numpy's or Python's float errors
+        print(f"error: parse: value too large for float arithmetic ({exc})",
+              file=sys.stderr)
+        return 1
+    except (FormatError, ConfigError, DomainError, QuadratureError) as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 1
     except (FitError, InsufficientDecayError) as exc:

@@ -82,8 +82,6 @@ class VoigtFit:
 @dataclass(frozen=True)
 class LineshapeClassification:
     label: str  # "gaussian" | "lorentzian" | "ambiguous"
-    rss_gaussian: float
-    rss_lorentzian: float
     rss_ratio: float
     fit_gaussian: VoigtFit
     fit_lorentzian: VoigtFit
@@ -92,11 +90,8 @@ class LineshapeClassification:
 @dataclass(frozen=True)
 class SeriesModelFit:
     model: physics.DephasingModel
-    quantity: str
     rss: float
-    n_points: int
     n_free: int
-    converged: bool
     n_iterations: int
 
     @property
@@ -247,7 +242,7 @@ def _initial_guess(spectrum):
 
 
 def fit_voigt(spectrum, init: Optional[VoigtParams] = None, weighted=True,
-              mode="voigt", max_iterations=500) -> VoigtFit:
+              mode="voigt") -> VoigtFit:
     """Fit one Voigt line (plus flat baseline) to a spectrum.
 
     One solve of the projected damped least-squares engine under the
@@ -273,11 +268,10 @@ def fit_voigt(spectrum, init: Optional[VoigtParams] = None, weighted=True,
         start = [total ** 2 if mode == "gaussian" else total]
     p0 = [init.center, *start, init.amplitude, init.baseline]
     lower = [-math.inf] + [0.0] * len(widths) + [-math.inf, -math.inf]
-    result = least_squares(residual, jacobian, p0,
-                           max_iterations=max_iterations, lower=lower)
+    result = least_squares(residual, jacobian, p0, lower=lower)
     if not result.converged:
         raise NotConvergedError(
-            f"Voigt fit hit the {max_iterations}-iteration cap")
+            f"Voigt fit hit the {result.n_iterations}-iteration cap")
     center, f_g, f_l, amplitude, baseline = unpack(result.params)
     if amplitude <= 0:
         raise NoPeakError("fit collapsed to a non-positive amplitude")
@@ -295,34 +289,32 @@ def fit_voigt(spectrum, init: Optional[VoigtParams] = None, weighted=True,
         n_iterations=result.n_iterations, mode=mode)
 
 
-def classify_lineshape(spectrum, weighted=True, ratio_gate=1.2
-                       ) -> LineshapeClassification:
+def classify_lineshape(spectrum, weighted=True) -> LineshapeClassification:
     """Pure-Gaussian vs pure-Lorentzian fit comparison.
 
-    Returns the lower-RSS class when the RSS ratio exceeds `ratio_gate`,
-    otherwise "ambiguous".
+    Returns the lower-RSS class when the RSS ratio exceeds 1.2, otherwise
+    "ambiguous".
     """
     fit_g = fit_voigt(spectrum, weighted=weighted, mode="gaussian")
     fit_l = fit_voigt(spectrum, weighted=weighted, mode="lorentzian")
     low = min(fit_g.rss, fit_l.rss)
     high = max(fit_g.rss, fit_l.rss)
     ratio = high / max(low, 5e-324)
-    if ratio > ratio_gate:
+    if ratio > 1.2:
         label = "gaussian" if fit_g.rss < fit_l.rss else "lorentzian"
     else:
         label = "ambiguous"
-    return LineshapeClassification(
-        label=label, rss_gaussian=fit_g.rss, rss_lorentzian=fit_l.rss,
-        rss_ratio=ratio, fit_gaussian=fit_g, fit_lorentzian=fit_l)
+    return LineshapeClassification(label=label, rss_ratio=ratio,
+                                   fit_gaussian=fit_g, fit_lorentzian=fit_l)
 
 
-def extract_components(fits: Sequence[tuple], mode="shared_fg"):
+def extract_components(fits: Sequence[tuple]):
     """Split per-temperature fits into a Gaussian floor and Lorentzian widths.
 
-    `fits` is a sequence of (temperature, VoigtFit).  Mode "free" reports the
-    per-fit Lorentzian FWHM as-is; mode "shared_fg" imposes a single
-    inverse-variance-weighted Gaussian floor and recomputes each Lorentzian
-    component from the fit's total FWHM.  Returns (floor, [(T, f_L), ...]).
+    `fits` is a sequence of (temperature, VoigtFit).  A single
+    inverse-variance-weighted Gaussian floor is shared by all fits, and each
+    Lorentzian component is recomputed from the fit's total FWHM under it.
+    Returns (floor, [(T, f_L), ...]).
     """
     if len(fits) < 3:
         raise InsufficientDataError(
@@ -343,14 +335,7 @@ def extract_components(fits: Sequence[tuple], mode="shared_fg"):
         raise InsufficientDataError(
             "no fit constrains the Gaussian component")
     floor = float((weights * fg).sum() / weights.sum())
-
-    if mode == "free":
-        pairs = [(t, f.params.lorentzian_fwhm) for t, f in ordered]
-    elif mode == "shared_fg":
-        pairs = _lorentzian_parts(ordered, floor)
-    else:
-        raise DomainError(f"unknown extraction mode {mode!r}")
-    return floor, pairs
+    return floor, _lorentzian_parts(ordered, floor)
 
 
 def _lorentzian_parts(fits, floor):
@@ -417,8 +402,8 @@ def build_series_problem(temperatures, values, kind, *, quantity="total",
 
 
 def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
-               fit_floor=False, debye_temperature=None, phonon_energy=None,
-               max_iterations=500) -> SeriesModelFit:
+               fit_floor=False, debye_temperature=None, phonon_energy=None
+               ) -> SeriesModelFit:
     """Fit one dephasing model to (temperature, linewidth) data.
 
     `quantity` states explicitly what the y-values are: "total" fits the
@@ -460,18 +445,16 @@ def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
     f_l0 = (invert_voigt_fwhm(max(y[i_ref], floor0), floor0)
             if quantity == "total" else y[i_ref])
     p0 = [f_l0 / basis[i_ref]] + ([floor0] if fit_floor else [])
-    result = least_squares(residual, jacobian, p0, lower=[0.0] * len(p0),
-                           max_iterations=max_iterations)
+    result = least_squares(residual, jacobian, p0, lower=[0.0] * len(p0))
     if not result.converged:
         raise NotConvergedError(
-            f"series fit hit the {max_iterations}-iteration cap")
+            f"series fit hit the {result.n_iterations}-iteration cap")
     amplitude, floor = unpack(result.params)
     model = physics.make_model(kind, amplitude, gaussian_floor=floor,
                                debye_temperature=debye_temperature,
                                phonon_energy=phonon_energy)
-    return SeriesModelFit(model=model, quantity=quantity,
-                          rss=result.rss, n_points=n, n_free=n_free,
-                          converged=True, n_iterations=result.n_iterations)
+    return SeriesModelFit(model=model, rss=result.rss, n_free=n_free,
+                          n_iterations=result.n_iterations)
 
 
 def compare_models(points, kinds=physics.MODEL_KINDS, **fit_kwargs):
@@ -503,7 +486,7 @@ def compare_models(points, kinds=physics.MODEL_KINDS, **fit_kwargs):
 
 def analyze_series(series, *, quantity="total", gaussian_floor=None,
                    debye_temperature=None, phonon_energy=None,
-                   weighted=True, kinds=physics.MODEL_KINDS) -> SeriesFitResult:
+                   weighted=True) -> SeriesFitResult:
     """Full pipeline on (temperature, Spectrum) pairs.
 
     Per-spectrum Voigt fits, shared-floor component extraction, then all
@@ -512,7 +495,7 @@ def analyze_series(series, *, quantity="total", gaussian_floor=None,
     """
     ordered = sorted(series, key=lambda ts: ts[0])
     fits = tuple((t, fit_voigt(s, weighted=weighted)) for t, s in ordered)
-    floor_est, _ = extract_components(fits, mode="shared_fg")
+    floor_est, _ = extract_components(fits)
     floor = floor_est if gaussian_floor is None else float(gaussian_floor)
     if quantity == "total":
         points = [(t, f.total_fwhm) for t, f in fits]
@@ -521,7 +504,7 @@ def analyze_series(series, *, quantity="total", gaussian_floor=None,
     else:
         raise DomainError(f"unknown quantity {quantity!r}")
     comparisons = tuple(compare_models(
-        points, kinds=kinds, quantity=quantity, gaussian_floor=floor,
+        points, quantity=quantity, gaussian_floor=floor,
         debye_temperature=debye_temperature, phonon_energy=phonon_energy))
     return SeriesFitResult(per_temperature=fits, comparisons=comparisons,
                            best_model=comparisons[0].kind,

@@ -1,8 +1,8 @@
-"""File formats: spectrum tables, series manifests, result records, and
-seeded synthetic-series generation.
+"""File formats: comma tables (spectra, linewidths, curves), series
+manifests, result records, and seeded synthetic-series generation.
 
-Spectra are two-column comma-delimited text with 6-significant-digit
-formatting (byte-stable under load/save round trips); manifests and result
+Comma tables have one reader and one writer; spectra carry 6 significant
+digits (byte-stable under load/save round trips).  Manifests and result
 records are JSON.  Writers are atomic (temp file + rename).
 """
 
@@ -27,13 +27,15 @@ __all__ = [
     "SPECTRUM_HEADER", "SCHEMA_VERSION", "SeriesManifest", "ManifestEntry",
     "save_spectrum", "load_spectrum", "save_manifest", "load_manifest",
     "load_series", "write_result_record", "load_result_record",
-    "sha256_of_file", "generate_synthetic_series",
+    "sha256_of_file", "generate_synthetic_series", "load_linewidths",
 ]
 
 SPECTRUM_HEADER = "# energy_meV,intensity"
 SCHEMA_VERSION = 1
 
 DEFAULT_TEMPERATURES = tuple(float(t) for t in range(10, 271, 20))
+# peak counts peak_snr**2 stay below numpy's Poisson limit, about 9.2e18
+_MAX_PEAK_SNR = 1e9
 
 
 def _atomic_write_text(path, text):
@@ -74,53 +76,80 @@ def _load_json(path):
         raise ParseError(f"JSON in {path} is nested too deeply") from None
 
 
-def _fmt(value):
-    return f"{value:.6g}"
+def _finite(value, where="value", line_number=None):
+    """The float of `value`; a ParseError unless it is a finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"non-numeric {where}: {value!r}", line_number)
+    if not math.isfinite(number):
+        raise ParseError(f"non-finite {where}: {value!r}", line_number)
+    return number
 
 
-def save_spectrum(spectrum, path):
-    """Write a spectrum file; canonical 6-significant-digit formatting."""
-    lines = [SPECTRUM_HEADER]
-    lines.append(f"# temperature_K = {_fmt(spectrum.temperature)}")
-    if spectrum.emitter_id:
-        lines.append(f"# emitter_id = {spectrum.emitter_id}")
-    for e, i in zip(spectrum.energy, spectrum.intensity):
-        lines.append(f"{_fmt(e)},{_fmt(i)}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+def _read_table(path):
+    """Parse a two-column comma table: ({key: (value, line_number)} of its
+    `# key = value` comments, (first column, second column)).
 
-
-def load_spectrum(path, temperature=None, emitter_id=None) -> Spectrum:
-    """Parse a spectrum file; explicit arguments override header comments."""
-    raw = _read_text(path).split("\n")  # universal newlines: all "\n"
-    energies, intensities = [], []
-    meta_temperature = 0.0
-    meta_emitter = ""
-    for lineno, line in enumerate(raw, start=1):
+    Blank lines are skipped; every other line is a comment or a row of two
+    finite numbers, and each defect is a ParseError with its line number.
+    """
+    comments = {}
+    first, second = [], []
+    # universal newlines: every line ends in "\n"
+    for line_number, line in enumerate(_read_text(path).split("\n"), start=1):
         text = line.strip()
         if not text:
             continue
         if text.startswith("#"):
-            body = text.lstrip("#").strip()
-            if body.startswith("temperature_K"):
-                try:
-                    meta_temperature = float(body.split("=", 1)[1])
-                except (IndexError, ValueError):
-                    raise ParseError("bad temperature_K comment", lineno)
-            elif body.startswith("emitter_id"):
-                meta_emitter = body.partition("=")[2].strip()
+            key, _, value = text.lstrip("#").partition("=")
+            comments[key.strip()] = (value.strip(), line_number)
             continue
-        parts = text.split(",")
-        if len(parts) != 2:
+        fields = text.split(",")
+        if len(fields) != 2:
             raise ParseError(f"expected 2 comma-separated fields, got "
-                             f"{len(parts)}", lineno)
+                             f"{len(fields)}", line_number)
         try:
-            e, i = float(parts[0]), float(parts[1])
+            x, y = float(fields[0]), float(fields[1])
         except ValueError:
-            raise ParseError(f"non-numeric field in {text!r}", lineno)
-        if not (math.isfinite(e) and math.isfinite(i)):
-            raise ParseError(f"non-finite field in {text!r}", lineno)
-        energies.append(e)
-        intensities.append(i)
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            for field in fields:  # raises at the first defective field
+                _finite(field, line_number=line_number)
+        first.append(x)
+        second.append(y)
+    return comments, (first, second)
+
+
+def _write_table(path, comments, columns, digits=6):
+    """Write a comma table atomically: the comment lines (each starting
+    with "#"), then one row per index of the equal-length `columns` at
+    `digits` significant digits."""
+    row = ",".join([f"{{:.{digits}g}}"] * len(columns))
+    # Python floats format faster than numpy scalars, to the same text
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
+    lines = [*comments, *(row.format(*values) for values in rows)]
+    _atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def save_spectrum(spectrum, path):
+    """Write a spectrum file; canonical 6-significant-digit formatting."""
+    comments = [SPECTRUM_HEADER,
+                f"# temperature_K = {spectrum.temperature:.6g}"]
+    if spectrum.emitter_id:
+        comments.append(f"# emitter_id = {spectrum.emitter_id}")
+    _write_table(path, comments, (spectrum.energy, spectrum.intensity))
+
+
+def load_spectrum(path, temperature=None, emitter_id=None) -> Spectrum:
+    """Parse a spectrum file; explicit arguments override header comments."""
+    comments, (energies, intensities) = _read_table(path)
+    value, line_number = comments.get("temperature_K", ("0", None))
+    try:
+        meta_temperature = float(value)
+    except ValueError:
+        raise ParseError("bad temperature_K comment", line_number) from None
+    meta_emitter = comments.get("emitter_id", ("",))[0]
     if not energies:
         raise EmptyFileError(f"no data rows in {path}")
     energy = np.array(energies)
@@ -210,15 +239,15 @@ def load_series(manifest):
     return pairs
 
 
-def _round_floats(obj, digits=12):
+def _round_floats(obj):
     if isinstance(obj, float):
         if math.isfinite(obj):
-            return float(f"{obj:.{digits}g}")
+            return float(f"{obj:.12g}")
         return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -231,6 +260,45 @@ def write_result_record(record, path):
 
 def load_result_record(path):
     return _load_json(path)
+
+
+def load_linewidths(path, quantity):
+    """(T, linewidth) pairs and the Gaussian floor from a result record,
+    or from a `temperature_K,linewidth_meV` table (floor 0).
+
+    `quantity` ("total" or "lorentzian") picks a record's linewidth key.
+    Every value must be a finite number, a total linewidth positive and a
+    Lorentzian one non-negative: fits of pure Gaussian lines report f_L on
+    its bound of zero.
+    """
+    try:
+        record = load_result_record(path)
+    except ParseError:
+        record = None
+    if isinstance(record, dict):
+        blocks = record.get("per_temperature")
+        if not isinstance(blocks, list):
+            raise ParseError(f"record {path} carries no per-temperature fits")
+        key = f"{quantity}_fwhm_meV"
+        points = []
+        for i, block in enumerate(blocks):
+            if not (isinstance(block, dict) and "temperature_K" in block
+                    and key in block):
+                raise ParseError(f"record {path}: per_temperature[{i}] "
+                                 f"lacks temperature_K or {key}")
+            where = f"value in per_temperature[{i}] of {path}"
+            points.append((_finite(block["temperature_K"], where),
+                           _finite(block[key], where)))
+        floor = _finite(record.get("gaussian_floor_meV", 0.0),
+                        f"gaussian_floor_meV in {path}")
+    else:
+        _, columns = _read_table(path)
+        points, floor = list(zip(*columns)), 0.0
+    for t, width in points:
+        if width < 0 or (quantity == "total" and width == 0):
+            raise ParseError(f"invalid {quantity} linewidth {width!r} at "
+                             f"{t!r} K in {path}")
+    return points, floor
 
 
 def sha256_of_file(path):
@@ -253,31 +321,29 @@ def _synthetic_grid(center, total_fwhm, n_points):
 
 def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
                               temperatures=DEFAULT_TEMPERATURES, peak_snr=30.0,
-                              n_points=1001, baseline=0.0,
-                              center_start=1820.2, center_end=1813.5,
-                              emitter_id="synthetic", seed=0,
-                              manifest_name="series.json"):
-    """Write one spectrum file per temperature plus a manifest; returns the
-    manifest path.
+                              n_points=1001, emitter_id="synthetic", seed=0):
+    """Write one spectrum file per temperature plus the manifest
+    `series.json`; returns the manifest path.
 
     The Lorentzian FWHM follows `model`, the Gaussian FWHM is the constant
-    `gaussian_floor`, and the line center drifts linearly from
-    `center_start` to `center_end` across the temperature range.  Peak
+    `gaussian_floor`, and the line center drifts linearly from 1820.2 meV
+    to 1813.5 meV across the temperature range, on a zero baseline.  Peak
     intensity is peak_snr**2 counts with Poisson noise (peak_snr = 0 writes
-    noiseless profiles).  Deterministic for a fixed seed.  Every spectrum
-    is computed before the first file is written, so invalid input leaves
-    no file behind.
+    noiseless profiles; at most 1e9).  Deterministic for a fixed seed.
+    Every spectrum is computed before the first file is written, so
+    invalid input leaves no file behind.
     """
     temperatures = sorted(float(t) for t in temperatures)
     if len(temperatures) < 1:
         raise DomainError("need at least one temperature")
-    if not peak_snr >= 0:
-        raise DomainError("peak_snr must be >= 0")
+    if not 0 <= peak_snr <= _MAX_PEAK_SNR:
+        raise DomainError(f"peak_snr must lie in [0, {_MAX_PEAK_SNR:g}], "
+                          f"got {peak_snr:g}")
     if n_points < 21:
         raise DomainError("n_points must be >= 21")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     peak_counts = peak_snr ** 2 if peak_snr > 0 else 1.0
-    if baseline >= peak_counts:
-        raise DomainError("baseline must stay below the peak count")
     # checks the temperatures (positive, finite, unique)
     manifest = SeriesManifest(
         emitter_id=emitter_id, base_dir=os.fspath(out_dir),
@@ -289,17 +355,15 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
     spectra = []
     for index, temperature in enumerate(temperatures):
         frac = (temperature - t_lo) / span if span > 0 else 0.0
-        center = center_start + frac * (center_end - center_start)
+        center = 1820.2 + frac * (1813.5 - 1820.2)
         f_l = model.lorentzian_fwhm(temperature)
         f_v = voigt_fwhm(gaussian_floor, f_l)
-        params = VoigtParams(center=center, gaussian_fwhm=gaussian_floor,
-                             lorentzian_fwhm=f_l, amplitude=1.0,
-                             baseline=baseline)
+        params = VoigtParams(center, gaussian_floor, f_l, amplitude=1.0)
         energy = _synthetic_grid(center, f_v, n_points)
         peak_density = voigt_profile(0.0, params.sigma, params.gamma)
-        amplitude = (peak_counts - baseline) / peak_density
-        intensity = baseline + amplitude * voigt_profile(
-            energy - center, params.sigma, params.gamma)
+        # the Faddeeva series dips ~1e-15 below zero in far Gaussian tails
+        intensity = peak_counts / peak_density * np.maximum(voigt_profile(
+            energy - center, params.sigma, params.gamma), 0.0)
         if peak_snr > 0:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
@@ -310,6 +374,6 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
     os.makedirs(out_dir, exist_ok=True)
     for entry, spectrum in zip(manifest.entries, spectra):
         save_spectrum(spectrum, manifest.resolve(entry))
-    manifest_path = os.path.join(out_dir, manifest_name)
+    manifest_path = os.path.join(out_dir, "series.json")
     save_manifest(manifest, manifest_path)
     return manifest_path

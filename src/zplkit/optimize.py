@@ -19,6 +19,8 @@ __all__ = ["LeastSquaresResult", "least_squares"]
 
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e15
+_RSS_RTOL = 1e-10  # converged: relative RSS drop of an accepted step
+_STEP_TOL = 1e-12  # converged: norm of a proposed step
 
 
 @dataclass(frozen=True)
@@ -36,15 +38,17 @@ class LeastSquaresResult:
     rss: float
     covariance: np.ndarray
     n_iterations: int
-    converged: bool
     reason: str
     n_accepted: int
     n_rejected: int
     at_bound: tuple
 
+    @property
+    def converged(self):
+        return self.reason != "cap"
 
-def least_squares(residual, jacobian, p0, max_iterations=500,
-                  rss_rtol=1e-10, step_tol=1e-12, lower=None):
+
+def least_squares(residual, jacobian, p0, max_iterations=500, lower=None):
     """Minimize sum(residual(p)**2) starting from p0, subject to p >= lower.
 
     Parameters
@@ -57,13 +61,13 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
     lower : optional lower bounds, -inf for an unbounded parameter.
 
     Bounds are handled by projection (Kanzow, Yamashita & Fukushima 2004):
-    each trial point is clipped onto the bounds (a value within `step_tol`
+    each trial point is clipped onto the bounds (a value within _STEP_TOL
     of its bound counts as on it), and a parameter sitting on its bound
     whose gradient points outward is frozen for that step.  A bound of
     -inf makes both no-ops.
 
-    Convergence: relative RSS change below `rss_rtol`, or proposed step norm
-    below `step_tol`, or no descent direction left at maximal damping.  One
+    Convergence: relative RSS change below _RSS_RTOL, or proposed step norm
+    below _STEP_TOL, or no descent direction left at maximal damping.  One
     iteration is one trial step, accepted or not.  The covariance is
     (J^T J)^-1 scaled by rss/(m - n) at the solution, taken over the
     parameters off their bounds; a parameter on its bound gets an infinite
@@ -75,10 +79,10 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
     if lower.shape != p.shape:
         raise DomainError("lower bounds and p0 differ in length")
 
-    # a point within step_tol of a bound is put on it: an optimum on the
+    # a point within _STEP_TOL of a bound is put on it: an optimum on the
     # bound is otherwise only reached to within a rounding error, on either
     # side of it
-    snap = lower + step_tol
+    snap = lower + _STEP_TOL
 
     def project(point):
         return np.where(point < snap, lower, point)
@@ -128,7 +132,7 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
                 raise IllConditionedError(
                     "normal equations stay singular at maximal damping")
             continue
-        if float(np.linalg.norm(step)) < step_tol:
+        if float(np.linalg.norm(step)) < _STEP_TOL:
             reason = "step_tol"
             break
         p_try = project(p + step)
@@ -146,7 +150,7 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
             growth = 2.0
             p, r, rss = p_try, r_try, rss_try
             grad, hess, scale = linearize(p, r)
-            if drop <= rss_rtol * max(rss, 1e-300):
+            if drop <= _RSS_RTOL * max(rss, 1e-300):
                 reason = "rss_rtol"
                 break
         else:
@@ -168,5 +172,5 @@ def least_squares(residual, jacobian, p0, max_iterations=500,
     covariance[at_bound, at_bound] = np.inf
     return LeastSquaresResult(
         params=p, rss=rss, covariance=covariance, n_iterations=iteration,
-        converged=reason != "cap", reason=reason, n_accepted=n_accepted,
-        n_rejected=n_rejected, at_bound=tuple(at_bound.tolist()))
+        reason=reason, n_accepted=n_accepted, n_rejected=n_rejected,
+        at_bound=tuple(at_bound.tolist()))

@@ -135,7 +135,10 @@ class DephasingModel:
                 raise DomainError(f"{name} must be > 0")
 
     def lorentzian_fwhm(self, temperature):
-        return self.amplitude * self.basis(temperature)
+        value = self.amplitude * self.basis(temperature)
+        if not math.isfinite(value):  # float products overflow silently
+            raise OverflowError(f"Lorentzian FWHM {value} at {temperature:g} K")
+        return value
 
     def total_fwhm(self, temperature):
         return voigt_fwhm(self.gaussian_floor, self.lorentzian_fwhm(temperature))

@@ -8,12 +8,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import synthetic_voigt_spectrum
 from zplkit.cli import main
 from zplkit.io_formats import save_spectrum
 from zplkit.fitting import Spectrum
+from zplkit.physics import MODEL_KINDS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -217,7 +218,6 @@ def test_exit_codes(tmp_path):
                  ("synth", "--out-dir", out, "--snr", "nan"),
                  ("synth", "--out-dir", out, "--amplitude", "nan"),
                  ("synth", "--out-dir", out, "--fg", "nan"),
-                 ("synth", "--out-dir", out + "_big", "--amplitude", "1e300"),
                  ("compare", str(four), "--fix-fg", "nan"),
                  ("compare", str(four), "--fix-fg", "1e300")):
         result = run_cli(*args)
@@ -227,10 +227,12 @@ def test_exit_codes(tmp_path):
                    for line in result.stderr.splitlines()) == 1
     assert not os.path.exists(out)
     # synth writes no spectrum when it cannot finish: a zero temperature,
-    # and steps that ask for more temperatures than one run may write
-    # (0.26 gives 1,001 from 10 K to 270 K)
+    # steps that ask for more temperatures than one run may write (0.26
+    # gives 1,001 from 10 K to 270 K), an amplitude whose widths overflow,
+    # a peak count beyond numpy's Poisson limit and a negative seed
     for args in (("--t-start", "0"), ("--t-step", "1e-300"),
-                 ("--t-step", "0.26")):
+                 ("--t-step", "0.26"), ("--amplitude", "1e300"),
+                 ("--snr", "1e10"), ("--seed", "-1")):
         result = run_cli("synth", "--out-dir", out, *args)
         assert result.returncode == 1, args
         assert result.stderr.startswith("error: parse:")
@@ -288,13 +290,32 @@ _CONTENT = st.one_of(
         for t, y in pts]})))
 
 
+def _exit_code(argv):
+    """main(argv)'s exit code, after checking that a failure printed
+    exactly one error line and a success nothing at all on stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # how argparse ends on a usage error
+            code = exc.code
+    errors = [line for line in stderr.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == (0 if code == 0 else 1)
+    if code == 0:
+        assert stderr.getvalue() == ""
+    return code
+
+
 @settings(max_examples=100, deadline=None)
 @given(content=_CONTENT,
        quantity=st.sampled_from(["total", "lorentzian"]),
        fix_fg=st.one_of(st.none(), _NUMBER_TEXT))
+# temperatures that overflow the fit's float arithmetic
+@example(content="0,0\n0,0\n2.4e51,0", quantity="lorentzian", fix_fg=None)
+@example(content="0,0\n0,0\n4.3e103,0", quantity="lorentzian", fix_fg=None)
 def test_compare_any_input_exits_cleanly(content, quantity, fix_fg):
-    # whatever the input, compare exits 0, 1 or 2 without a traceback, and
-    # a failure prints exactly one error line
+    # whatever the input, compare exits 0, 1 or 2 without a traceback
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input")
         with open(path, "w", encoding="utf-8") as fh:
@@ -302,18 +323,68 @@ def test_compare_any_input_exits_cleanly(content, quantity, fix_fg):
         argv = ["compare", path, "--quiet", "--quantity", quantity]
         if fix_fg is not None:
             argv += ["--fix-fg", fix_fg]
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # how argparse ends on a usage error
-                code = exc.code
-    assert code in (0, 1, 2)
-    errors = [line for line in stderr.getvalue().splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == (0 if code == 0 else 1)
-    if code == 0:
-        assert stderr.getvalue() == ""
+        assert _exit_code(argv) in (0, 1, 2)
+
+
+# any finite flag value, huge ones included, and often a plausible one;
+# "--flag=value" keeps a negative value from reading as an option
+_FLAG = st.one_of(st.floats(min_value=0.0, max_value=1e3),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(list(MODEL_KINDS)), amplitude=_FLAG, fg=_FLAG,
+       snr=_FLAG, theta_d=st.none() | _FLAG, phonon_energy=st.none() | _FLAG,
+       t_start=_FLAG, t_step=_FLAG, n_steps=st.integers(-1, 19),
+       n_points=st.integers(15, 64), seed=st.integers(-2, 2 ** 70))
+# a nearly Gaussian line, whose far tails the Faddeeva series puts below 0
+@example(model="acoustic_debye", amplitude=1e-9, fg=0.72, snr=30.0,
+         theta_d=None, phonon_energy=None, t_start=1.0, t_step=1.0,
+         n_steps=0, n_points=21, seed=0)
+def test_synth_any_flags_exit_cleanly(model, amplitude, fg, snr, theta_d,
+                                      phonon_energy, t_start, t_step, n_steps,
+                                      n_points, seed):
+    # at most 20 temperatures (plus the 1e-9 K the stop gains), or a range
+    # that synth rejects before it computes a spectrum
+    t_stop = t_start + n_steps * t_step
+    count = (t_stop + 1e-9 - t_start) / t_step if t_step > 0 else 0.0
+    assume(not 21 < count <= 1000)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["synth", "--quiet", "--out-dir", os.path.join(tmp, "out"),
+                f"--model={model}", f"--amplitude={amplitude!r}",
+                f"--fg={fg!r}", f"--snr={snr!r}", f"--t-start={t_start!r}",
+                f"--t-stop={t_stop!r}", f"--t-step={t_step!r}",
+                f"--n-points={n_points}", f"--seed={seed}"]
+        if theta_d is not None:
+            argv.append(f"--theta-d={theta_d!r}")
+        if phonon_energy is not None:
+            argv.append(f"--phonon-energy={phonon_energy!r}")
+        code = _exit_code(argv)
+        assert code in (0, 1, 2, 3)
+        assert code == 0 or not os.path.exists(os.path.join(tmp, "out"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(center=_FLAG, step=_FLAG, peak=_FLAG, floor=_FLAG,
+       temperature=st.none() | _FLAG, unweighted=st.booleans())
+def test_fit_any_flags_exit_cleanly(center, step, peak, floor, temperature,
+                                    unweighted):
+    # a 41-point Lorentzian line of half width 4 steps, scaled by the drawn
+    # values (a sum that overflows writes `inf`, which fails to parse)
+    rows = [f"{center + step * (i - 20)!r},"
+            f"{floor + peak / (1.0 + ((i - 20) / 4.0) ** 2)!r}"
+            for i in range(41)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spectrum.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows) + "\n")
+        argv = ["fit", path, "--quiet", "--output",
+                os.path.join(tmp, "fit.json")]
+        if temperature is not None:
+            argv.append(f"--temperature={temperature!r}")
+        if unweighted:
+            argv.append("--unweighted")
+        assert _exit_code(argv) in (0, 1, 2, 3)
 
 
 def test_series_single_temperature_manifest_fails_cleanly(tmp_path):

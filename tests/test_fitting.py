@@ -177,7 +177,7 @@ def _fit_paper_series(peak_snr, seed, floor=0.72):
 
 def test_extract_components_recovers_constant_floor():
     fits = _fit_paper_series(peak_snr=30.0, seed=4)
-    floor, pairs = extract_components(fits, mode="shared_fg")
+    floor, pairs = extract_components(fits)
     assert abs(floor - 0.72) / 0.72 < 0.05
     assert len(pairs) == len(SERIES_GRID)
     assert all(f_l >= 0 for _, f_l in pairs)
@@ -189,7 +189,7 @@ def test_extract_components_zero_lorentzian_series():
         spec, _ = synthetic_voigt_spectrum(1820.0, 0.72, 0.0, temperature=t,
                                            peak_snr=30.0, seed=index)
         fits.append((t, fit_voigt(spec)))
-    floor, pairs = extract_components(fits, mode="shared_fg")
+    floor, pairs = extract_components(fits)
     assert all(f_l < 0.05 for _, f_l in pairs)  # below the noise floor
 
 
@@ -203,20 +203,18 @@ def test_extract_components_ignores_a_pinned_floor(tmp_path):
     assert fits[-1][0] == 270.0
     assert hot.params.gaussian_fwhm == 0.0
     assert hot.uncertainties.gaussian_fwhm == math.inf
-    floor, _ = extract_components(fits, mode="shared_fg")
-    floor_without, _ = extract_components(fits[:-1], mode="shared_fg")
+    floor, _ = extract_components(fits)
+    floor_without, _ = extract_components(fits[:-1])
     assert floor == pytest.approx(floor_without, rel=1e-12)
     assert abs(floor - 0.72) / 0.72 < 0.05
 
 
 def test_extract_components_free_mode_and_errors():
     fits = _fit_paper_series(peak_snr=0.0, seed=0)
-    floor, pairs = extract_components(fits, mode="free")
+    floor, _ = extract_components(fits)
     assert floor == pytest.approx(0.72, rel=1e-5)
     with pytest.raises(InsufficientDataError):
-        extract_components(fits[:1], mode="shared_fg")
-    with pytest.raises(DomainError):
-        extract_components(fits, mode="banana")
+        extract_components(fits[:1])
 
 
 # ---------------------------------------------------------------------------

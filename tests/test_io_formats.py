@@ -10,10 +10,10 @@ from zplkit.errors import (DomainError, EmptyFileError, FormatError,
                            NonMonotonicGridError, ParseError)
 from zplkit.fitting import fit_voigt
 from zplkit.io_formats import (ManifestEntry, SeriesManifest,
-                               generate_synthetic_series, load_manifest,
-                               load_result_record, load_series, load_spectrum,
-                               save_manifest, save_spectrum, sha256_of_file,
-                               write_result_record)
+                               generate_synthetic_series, load_linewidths,
+                               load_manifest, load_result_record, load_series,
+                               load_spectrum, save_manifest, save_spectrum,
+                               sha256_of_file, write_result_record)
 from zplkit.physics import AcousticDebye
 
 
@@ -39,11 +39,29 @@ def test_load_spectrum_error_cases(tmp_path):
     with pytest.raises(ParseError) as err:
         load_spectrum(path)
     assert err.value.line_number == 3
+    path.write_text("# energy_meV,intensity\n# temperature_K = warm\n")
+    with pytest.raises(ParseError) as err:
+        load_spectrum(path)
+    assert err.value.line_number == 2
     path.write_text("# energy_meV,intensity\n")
     with pytest.raises(EmptyFileError):
         load_spectrum(path)
     with pytest.raises(FileNotFoundError):
         load_spectrum(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("row", ["1.0,2.0,3.0", "1.0,abc", "1.0,inf"])
+def test_spectra_and_linewidth_tables_share_one_grammar(tmp_path, row):
+    # the same malformed third line fails both loaders the same way
+    path = tmp_path / "table.csv"
+    path.write_text(f"# temperature_K,linewidth_meV\n10,0.8\n{row}\n")
+    with pytest.raises(ParseError) as spectrum_error:
+        load_spectrum(path)
+    with pytest.raises(ParseError) as table_error:
+        load_linewidths(path, "total")
+    assert spectrum_error.value.line_number == 3
+    assert table_error.value.line_number == 3
+    assert str(spectrum_error.value) == str(table_error.value)
 
 
 def test_load_spectrum_too_few_rows_is_parse_error(tmp_path):
