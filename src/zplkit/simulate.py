@@ -24,6 +24,7 @@ _PAD_FACTOR = 8  # zero padding of the symmetric trace before the FFT
 _DECAY_REQUIRED = 1e-6
 _BLOCK = 1024  # Monte-Carlo trajectories per random stream
 _BATCH_BLOCKS = 4  # blocks advanced together; bounds working memory
+_MAX_STEPS = 10 ** 6  # time steps per run; keeps the FFT buffers near 256 MB
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,10 @@ class SimulationConfig:
             raise ConfigError(
                 f"t_max = {self.t_max} too short; need >= "
                 f"{20.0 / (self.sigma + self.gamma):.4g} for full decay")
+        if not self.t_max / self.dt <= _MAX_STEPS:
+            raise ConfigError(
+                f"t_max/dt = {self.t_max / self.dt:.4g} steps; at most "
+                f"{_MAX_STEPS} are allowed")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:
@@ -169,22 +174,28 @@ def mc_coherence(config) -> CoherenceTrace:
 
     The unit-variance field takes the exact step e' = rho*e + sqrt(1-rho^2)*xi
     with rho = exp(-correlation_rate*dt); the phase follows by the trapezoid
-    rule.  Block b of _BLOCK trajectories draws from a Philox stream keyed by
-    (seed, b) (Salmon et al. 2011); block sums are added in block order, so
-    results do not depend on batching.  stderr is that of the complex mean,
-    whose variance is n(1 - |mean|^2)/(n - 1) as |z| = 1."""
+    rule.  Block b of _BLOCK trajectories draws from an SFC64 stream seeded
+    by SeedSequence(entropy=seed, spawn_key=(b,)); block sums are added in
+    block order, so results do not depend on batching.
+
+    The zero-mean Gaussian phase is symmetric, so Im g is exactly 0 and only
+    Re g = <cos(phase)> is estimated, through u = 1 - cos(phase): g = 1 -
+    mean(u), and stderr is that of the real mean, sqrt(var(u)/(n - 1)) with
+    var(u) = mean(u^2) - mean(u)^2 (u keeps that difference free of the
+    cancellation it would suffer on cos itself)."""
     n_pts = config.n_steps + 1
     n_traj = config.n_trajectories
     rho = np.exp(-config.correlation_rate * config.dt)
     half_dt_sigma = 0.5 * config.dt * config.sigma
     kick = half_dt_sigma * np.sqrt(max(0.0, 1.0 - rho * rho))
-    sums = np.zeros((n_pts, 2))  # sums of cos(phase) and sin(phase)
+    sums = np.zeros((n_pts, 2))  # sums of u = 1 - cos(phase) and of u^2
     for first in range(0, -(-n_traj // _BLOCK), _BATCH_BLOCKS):
         size = min(_BATCH_BLOCKS * _BLOCK, n_traj - first * _BLOCK)
         offsets = np.arange(0, size, _BLOCK)
-        gens = [np.random.Generator(np.random.Philox(key=[config.seed, b]))
+        gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+                    entropy=config.seed, spawn_key=(b,))))
                 for b in range(first, first + offsets.size)]
-        noise, phase, z = np.empty(size), np.zeros(size), np.empty((2, size))
+        noise, phase, u = np.empty(size), np.zeros(size), np.empty((2, size))
         block_sums = np.empty((n_pts, 2, offsets.size))
         for k in range(n_pts):
             for gen, a in zip(gens, offsets):
@@ -197,17 +208,19 @@ def mc_coherence(config) -> CoherenceTrace:
                 noise *= kick
                 field += noise
                 phase += field
-            np.cos(phase, out=z[0])  # z = (Re, Im) of exp(i*phase)
-            np.sin(phase, out=z[1])
-            np.add.reduceat(z, offsets, axis=1, out=block_sums[k])
+            np.cos(phase, out=u[0])
+            np.subtract(1.0, u[0], out=u[0])
+            np.multiply(u[0], u[0], out=u[1])
+            np.add.reduceat(u, offsets, axis=1, out=block_sums[k])
         for j in range(offsets.size):
             sums += block_sums[:, :, j]
 
-    mean = (sums[:, 0] + 1j * sums[:, 1]) / n_traj
+    mean_u, mean_u2 = sums[:, 0] / n_traj, sums[:, 1] / n_traj
     damp = np.exp(-config.gamma * config.t_grid)
-    spread = np.clip(1.0 - np.abs(mean) ** 2, 0.0, None)
+    spread = np.clip(mean_u2 - mean_u * mean_u, 0.0, None)
     stderr = np.sqrt(spread / (n_traj - 1)) if n_traj > 1 else np.zeros(n_pts)
-    return CoherenceTrace(t=config.t_grid, g=mean * damp, stderr=stderr * damp)
+    return CoherenceTrace(t=config.t_grid, g=(1.0 - mean_u) * damp,
+                          stderr=stderr * damp)
 
 
 def simulate_spectrum(config, center) -> Spectrum:

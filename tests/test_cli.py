@@ -166,6 +166,22 @@ def test_simulate_output_feeds_fit(tmp_path):
     assert "lorentzian" in fit.stdout
 
 
+def test_simulate_single_trajectory(tmp_path):
+    # one trajectory has no spread: its stderr column is 0, with no 0/0
+    # under the CLI's floating-point error boundary
+    result = run_cli("simulate", "--sigma", "0.5", "--gamma", "1.0",
+                     "--correlation-rate", "1.0", "--t-max", "20",
+                     "--dt", "0.1", "--n-traj", "1", "--seed", "2",
+                     cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    table = np.loadtxt(tmp_path / "simulated_coherence.csv", delimiter=",")
+    assert table.shape == (201, 4)
+    assert np.all(table[:, 3] == 0.0)
+    assert np.all(table[:, 2] == 0.0)
+    assert np.any(table[:, 1] < np.exp(-table[:, 0]))  # the phase moved
+
+
 def test_exit_codes(tmp_path):
     # io error: missing file
     result = run_cli("fit", str(tmp_path / "missing.csv"))
@@ -229,15 +245,22 @@ def test_exit_codes(tmp_path):
     # synth writes no spectrum when it cannot finish: a zero temperature,
     # steps that ask for more temperatures than one run may write (0.26
     # gives 1,001 from 10 K to 270 K), an amplitude whose widths overflow,
-    # a peak count beyond numpy's Poisson limit and a negative seed
-    for args in (("--t-start", "0"), ("--t-step", "1e-300"),
-                 ("--t-step", "0.26"), ("--amplitude", "1e300"),
-                 ("--snr", "1e10"), ("--seed", "-1")):
-        result = run_cli("synth", "--out-dir", out, *args)
+    # a peak count beyond numpy's Poisson limit and a negative seed; and
+    # simulate writes nothing for a time grid beyond its 10^6-step bound
+    # (2e10 steps here, ~300 GB of coherence buffers)
+    synth = ("synth", "--out-dir", out)
+    for args in (synth + ("--t-start", "0"), synth + ("--t-step", "1e-300"),
+                 synth + ("--t-step", "0.26"),
+                 synth + ("--amplitude", "1e300"), synth + ("--snr", "1e10"),
+                 synth + ("--seed", "-1"),
+                 ("simulate", "--sigma", "0", "--gamma", "1e-6",
+                  "--t-max", "2e7", "--dt", "0.001")):
+        result = run_cli(*args, cwd=tmp_path)
         assert result.returncode == 1, args
         assert result.stderr.startswith("error: parse:")
         assert len(result.stderr.splitlines()) == 1
         assert not os.path.exists(out)
+        assert not list(tmp_path.glob("simulated_*"))
     # a manifest whose metadata is not an object, and files that are not
     # UTF-8 text, are parse errors
     spectrum = tmp_path / "s.csv"

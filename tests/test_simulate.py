@@ -31,6 +31,10 @@ def test_config_validation():
         _config(t_max=5.0)  # shorter than 20/(sigma+gamma)
     with pytest.raises(ConfigError):
         _config(n_trajectories=0)
+    _config(t_max=1e5)  # exactly the 10^6-step bound
+    for t_max in (1e5 + 1.0, np.inf, np.nan):  # more steps than the bound
+        with pytest.raises(ConfigError):
+            _config(t_max=t_max)
 
 
 def test_analytic_coherence_shapes():
@@ -84,6 +88,58 @@ def test_mc_sigma_zero_is_exact():
     assert np.array_equal(trace.g.real, np.exp(-0.5 * trace.t))
     assert np.all(trace.g.imag == 0.0)
     assert np.all(trace.stderr == 0.0)
+
+
+def test_mc_matches_plain_loop_oracle():
+    # two blocks, the second partial; every block's documented stream is
+    # drawn here step by step and its phases propagated in a plain loop
+    from zplkit import simulate
+    config = SimulationConfig(sigma=1.0, gamma=1.0, correlation_rate=1.0,
+                              t_max=10.0, dt=0.1,
+                              n_trajectories=simulate._BLOCK + 37, seed=17)
+    n = config.n_trajectories
+    rho = np.exp(-config.correlation_rate * config.dt)
+    half = 0.5 * config.dt * config.sigma
+    kick = half * np.sqrt(1.0 - rho * rho)
+    cosines = []
+    sum_u = np.zeros(config.n_steps + 1)
+    sum_u2 = np.zeros(config.n_steps + 1)
+    for b, size in enumerate((simulate._BLOCK, 37)):
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            entropy=config.seed, spawn_key=(b,))))
+        phase = np.zeros(size)
+        rows = []
+        for k in range(config.n_steps + 1):
+            noise = gen.standard_normal(size)
+            if k == 0:
+                field = noise * half
+            else:
+                phase = phase + field
+                field = field * rho + noise * kick
+                phase = phase + field
+            rows.append(np.cos(phase))
+        c = np.array(rows)
+        cosines.append(c)
+        # summed the way numpy reduces one row segment (the order decides
+        # the last bit, and 1 - mean(u) cancels where g is small)
+        sum_u += np.add.reduceat(1.0 - c, [0], axis=1)[:, 0]
+        sum_u2 += np.add.reduceat((1.0 - c) ** 2, [0], axis=1)[:, 0]
+    damp = np.exp(-config.gamma * config.t_grid)
+    mean_u, mean_u2 = sum_u / n, sum_u2 / n
+    g = (1.0 - mean_u) * damp
+    stderr = np.sqrt((mean_u2 - mean_u ** 2) / (n - 1)) * damp
+
+    trace = mc_coherence(config)
+    assert np.all(trace.g.imag == 0.0)
+    np.testing.assert_allclose(trace.g.real, g, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(trace.stderr, stderr, rtol=1e-15, atol=0.0)
+    # the standard error of the real mean, from the cosines themselves; one
+    # rounding of mean(cos) ~ 1 against var(cos) ~ 5e-5 at the first step
+    # bounds the agreement near 1e-12
+    c = np.hstack(cosines)
+    np.testing.assert_allclose(
+        trace.stderr, np.std(c, axis=1, ddof=1) / np.sqrt(n) * damp,
+        rtol=1e-12, atol=0.0)
 
 
 def test_mc_slow_modulation_matches_static_limit():
