@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -13,10 +14,10 @@ from . import __version__
 from .errors import (ConfigError, DomainError, FitError, FormatError,
                      InsufficientDecayError, ParseError, QuadratureError)
 from .fitting import analyze_series, classify_lineshape, compare_models, fit_voigt
-from .io_formats import (_finite, _write_table, generate_synthetic_series,
-                         load_linewidths, load_manifest, load_series,
-                         load_spectrum, save_spectrum, sha256_of_file,
-                         write_result_record)
+from .io_formats import (_finite, _synthetic_grid_steps, _write_table,
+                         generate_synthetic_series, load_linewidths,
+                         load_manifest, load_series, load_spectrum,
+                         save_spectrum, sha256_of_file, write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
 from .physics import MODEL_KINDS, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
@@ -224,11 +225,21 @@ def cmd_synth(args):
         args.out_dir, model, gaussian_floor=args.fg,
         temperatures=temperatures, peak_snr=args.snr,
         n_points=args.n_points, seed=args.seed, emitter_id=args.emitter_id)
-    _say(args, f"wrote {len(temperatures)} spectra under {args.out_dir}")
+    sizes = [_synthetic_grid_steps(voigt_fwhm(
+        args.fg, model.lorentzian_fwhm(float(t))), args.n_points)[2]
+        for t in temperatures]
+    counts = (f"{min(sizes)}" if min(sizes) == max(sizes)
+              else f"{min(sizes)}-{max(sizes)}")
+    _say(args, f"wrote {len(temperatures)} spectra ({counts} points) "
+               f"under {args.out_dir}")
     _say(args, f"wrote {manifest_path}")
     return 0
 
 
+# Built at the first `main()` call, not at import, so `set_defaults(func=...)`
+# binds the `cmd_*` functions the module holds then; one parser serves every
+# later call in the process.
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="zplkit",
                      description="Lineshape analysis and dephasing-model "
@@ -277,7 +288,7 @@ def _build_parser():
                        help="rank models on a result record or T,linewidth table")
     p.add_argument("input", help="result record (JSON) or two-column table")
     p.add_argument("--models", nargs="+", choices=MODEL_KINDS,
-                   default=list(MODEL_KINDS))
+                   default=tuple(MODEL_KINDS))
     p.add_argument("--output", help="write a JSON result record here")
     add_model_flags(p)
     add_common(p)
@@ -316,7 +327,9 @@ def _build_parser():
     p.add_argument("--t-start", type=_number, default=10.0)
     p.add_argument("--t-stop", type=_number, default=270.0)
     p.add_argument("--t-step", type=_number, default=20.0)
-    p.add_argument("--n-points", type=int, default=1001)
+    p.add_argument("--n-points", type=int, default=1001,
+                   help="most points per spectrum; the grid steps in whole "
+                        "0.01 meV, so narrow lines get fewer (default 1001)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emitter-id", default="synthetic")
     add_common(p)

@@ -309,13 +309,19 @@ def sha256_of_file(path):
     return digest.hexdigest()
 
 
+def _synthetic_grid_steps(total_fwhm, n_points):
+    """(half span, step, points) of the grid `generate_synthetic_series`
+    writes for a line of this total FWHM (meV): at most n_points, fewer
+    where the step, rounded up to whole 0.01 meV, leaves the span short."""
+    half = max(8.0 * total_fwhm, 3.0)
+    step = math.ceil(2.0 * half / (n_points - 1) / 0.01) * 0.01
+    return half, step, int(math.floor(2.0 * half / step)) + 1
+
+
 def _synthetic_grid(center, total_fwhm, n_points):
     # energies aligned to 0.01 meV so the 6-digit file format stays lossless
-    quantum = 0.01
-    half = max(8.0 * total_fwhm, 3.0)
-    step = math.ceil(2.0 * half / (n_points - 1) / quantum) * quantum
-    n = int(math.floor(2.0 * half / step)) + 1
-    start = round((center - half) / quantum) * quantum
+    half, step, n = _synthetic_grid_steps(total_fwhm, n_points)
+    start = round((center - half) / 0.01) * 0.01
     return start + np.arange(n) * step
 
 
@@ -329,7 +335,11 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
     `gaussian_floor`, and the line center drifts linearly from 1820.2 meV
     to 1813.5 meV across the temperature range, on a zero baseline.  Peak
     intensity is peak_snr**2 counts with Poisson noise (peak_snr = 0 writes
-    noiseless profiles; at most 1e9).  Deterministic for a fixed seed.
+    noiseless profiles; at most 1e9).  Each spectrum spans the center
+    +- max(8 total FWHM, 3 meV) with at most `n_points` points: the step
+    is rounded up to whole 0.01 meV, so a narrow line gets fewer (577 of
+    the default 1001 for the 10 K line of the `synth` defaults).
+    Deterministic for a fixed seed.
     Every spectrum is computed before the first file is written, so
     invalid input leaves no file behind.
     """

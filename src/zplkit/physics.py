@@ -66,7 +66,9 @@ def _reduced_integrand(x):
     return out
 
 
-@lru_cache(maxsize=None)
+# Far above the ~280 limits a `series --curves-dir` run needs, so no key is
+# evicted within one command, yet bounded for a long-lived process.
+@lru_cache(maxsize=4096)
 def _reduced_debye_cached(x_max, rel_tol):
     x_cut = min(x_max, _TAIL_CUTOFF)
     value, err = adaptive_gauss_kronrod(

@@ -9,6 +9,7 @@ import numpy as np
 
 from zplkit.fitting import Spectrum
 from zplkit.lineshape import VoigtParams, voigt_profile
+from zplkit.numerics import _GK_NODES, _GK_WEIGHTS_G, _GK_WEIGHTS_K
 
 
 def simpson_reduced_debye(x_max, panels=10 ** 6):
@@ -56,3 +57,41 @@ def synthetic_voigt_spectrum(center, gaussian_fwhm, lorentzian_fwhm,
         intensity = rng.poisson(intensity * scale) / scale
     return Spectrum(energy=energy, intensity=intensity,
                     temperature=temperature), amplitude
+
+
+def per_panel_gauss_kronrod(func, a, b, rel_tol=1e-10, abs_tol=1e-30,
+                            initial_intervals=1, max_intervals=2048):
+    """Adaptive Gauss-Kronrod 7/15 with one integrand call per panel and one
+    bisection at a time: the loop the batched `adaptive_gauss_kronrod` must
+    reproduce bit for bit.  Returns (value, error_bound, integrand calls),
+    or None where the batched version raises.  Only the node and weight
+    tables are shared with the package."""
+    nodes, w_k, w_g = _GK_NODES, _GK_WEIGHTS_K, _GK_WEIGHTS_G
+    calls = 0
+
+    def panel(lo, hi):
+        nonlocal calls
+        calls += 1
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        y = func(mid + half * nodes)
+        i_k = half * float(w_k @ y)
+        i_g = half * float(w_g @ y)
+        return lo, hi, i_k, abs(i_k - i_g)
+
+    edges = np.linspace(a, b, initial_intervals + 1)
+    intervals = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    while True:
+        total = sum(iv[2] for iv in intervals)
+        total_err = sum(iv[3] for iv in intervals)
+        if not np.isfinite(total):
+            return None
+        if total_err <= max(rel_tol * abs(total), abs_tol):
+            return total, total_err, calls
+        if len(intervals) >= max_intervals:
+            return None
+        worst = max(range(len(intervals)), key=lambda i: intervals[i][3])
+        lo, hi, _, _ = intervals[worst]
+        mid = 0.5 * (lo + hi)
+        intervals[worst] = panel(lo, mid)
+        intervals.append(panel(mid, hi))

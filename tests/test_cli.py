@@ -427,3 +427,66 @@ def test_quiet_suppresses_summary(synth_dir):
     result = run_cli("fit", str(path), "--quiet")
     assert result.returncode == 0
     assert result.stdout == ""
+
+
+# The README quick start and a small simulation, with one usage error, all
+# in one directory; paths are relative so the printed lines match too.
+_SESSION = [
+    ["synth", "--out-dir", "demo", "--seed", "5"],
+    ["series", "demo/series.json", "--output", "record.json",
+     "--curves-dir", "curves"],
+    ["fit", "demo/spectrum_00_10K.csv", "--output", "fit.json"],
+    ["compare", "record.json", "--output", "compare.json"],
+    ["compare", "record.json", "--models", "no_such_model"],
+    ["simulate", "--sigma", "0.46", "--gamma", "5.2", "--t-max", "1.0",
+     "--dt", "0.01", "--n-traj", "50", "--seed", "1"],
+]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # how argparse ends on a usage error
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _tree(root):
+    return {os.path.relpath(os.path.join(d, f), root):
+            open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(root) for f in files}
+
+
+def test_one_parser_serves_every_command(tmp_path, monkeypatch):
+    from zplkit.cli import _build_parser
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    expected = []
+    for argv in _SESSION:
+        result = run_cli(*argv, cwd=fresh)
+        expected.append((result.returncode, result.stdout, result.stderr))
+    _build_parser.cache_clear()
+    monkeypatch.chdir(reused)
+    assert [_run_in_process(argv) for argv in _SESSION] == expected
+    assert _build_parser.cache_info().misses == 1
+    assert _tree(reused) == _tree(fresh)
+
+
+@pytest.mark.parametrize("n_points", ["21", "400", "1001"])
+def test_synth_reports_the_points_it_wrote(tmp_path, n_points):
+    code, out, _ = _run_in_process(["synth", "--out-dir", str(tmp_path),
+                                    "--seed", "5", "--n-points", n_points])
+    assert code == 0
+    rows = []
+    for name in os.listdir(tmp_path):
+        if name.endswith(".csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            rows.append(sum(not line.startswith("#") for line in lines))
+    assert max(rows) <= int(n_points)
+    counts = (f"{min(rows)}" if min(rows) == max(rows)
+              else f"{min(rows)}-{max(rows)}")
+    assert out.splitlines()[0] == (f"wrote 14 spectra ({counts} points) "
+                                   f"under {tmp_path}")

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import per_panel_gauss_kronrod
 from zplkit.errors import DomainError, QuadratureError
 from zplkit.numerics import adaptive_gauss_kronrod, faddeeva, faddeeva_derivatives
+from zplkit.physics import _TAIL_CUTOFF, _reduced_integrand
 
 
 def test_faddeeva_known_points():
@@ -98,12 +100,60 @@ def test_quadrature_empty_and_invalid_ranges():
         adaptive_gauss_kronrod(np.sin, 1.0, 0.0)
 
 
+def _spike(x):
+    return 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-300)
+
+
 def test_quadrature_reports_non_convergence():
     # integrable singularity: bisection gains accuracy too slowly for the
     # interval budget, and that must be reported rather than swallowed
-    def spike(x):
-        return 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-300)
-
     with pytest.raises(QuadratureError):
-        adaptive_gauss_kronrod(spike, 0.0, 1.0, rel_tol=1e-12,
+        adaptive_gauss_kronrod(_spike, 0.0, 1.0, rel_tol=1e-12,
                                max_intervals=12)
+
+
+# (integrand, a, b, keyword arguments) of the tests above
+_QUADRATURE_CASES = [
+    (lambda x: x * x, 0.0, 1.0, {}),
+    (lambda x: np.exp(-x * x), -10.0, 10.0, {"initial_intervals": 4}),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1000.0, {"initial_intervals": 8}),
+    (_spike, 0.0, 1.0, {"rel_tol": 1e-12}),
+    (_spike, 0.0, 1.0, {"rel_tol": 1e-12, "max_intervals": 12}),
+]
+
+
+def _batched(func, a, b, **kwargs):
+    try:
+        return adaptive_gauss_kronrod(func, a, b, **kwargs)
+    except QuadratureError:
+        return None
+
+
+def test_batched_quadrature_equals_per_panel_oracle_bit_for_bit():
+    # the band integral's own calls, on both sides of the tail cutoff and
+    # past x = 35, where the 8 initial panels first need a bisection
+    for x in np.logspace(-8.0, 3.0, 1000):
+        args = (_reduced_integrand, 0.0, min(x, _TAIL_CUTOFF))
+        kwargs = {"rel_tol": 1e-10, "abs_tol": 1e-30, "initial_intervals": 8}
+        assert _batched(*args, **kwargs) == per_panel_gauss_kronrod(
+            *args, **kwargs)[:2], x
+    for func, a, b, kwargs in _QUADRATURE_CASES:
+        reference = per_panel_gauss_kronrod(func, a, b, **kwargs)
+        assert _batched(func, a, b, **kwargs) == (
+            reference and reference[:2])
+
+
+def test_quadrature_calls_integrand_once_per_pass():
+    # one call on all initial panels, then one per bisection on both halves
+    for func, a, b, kwargs in _QUADRATURE_CASES[:4]:
+        sizes = []
+
+        def counted(x):
+            assert isinstance(x, np.ndarray) and x.ndim == 1
+            sizes.append(x.size)
+            return func(x)
+
+        adaptive_gauss_kronrod(counted, a, b, **kwargs)
+        n = kwargs.get("initial_intervals", 1)
+        panels = per_panel_gauss_kronrod(func, a, b, **kwargs)[2]
+        assert sizes == [15 * n] + [30] * ((panels - n) // 2)

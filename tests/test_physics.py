@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import simpson_reduced_debye
+from zplkit import physics
 from zplkit.cli import _model_block
 from zplkit.errors import DomainError
 from zplkit.fitting import ModelComparison, build_series_problem
@@ -60,6 +61,37 @@ def test_reduced_debye_matches_simpson_oracle():
         assert value == pytest.approx(oracle, rel=1e-9)
     value, _ = reduced_debye_integral(1.0)
     assert value == pytest.approx(REDUCED_AT_1, rel=1e-10)
+
+
+def _mpmath_reduced_debye(mpmath, x):
+    # by parts, -x^2/(e^x - 1) + 2 J(x), with the first-order Debye integral
+    # J(x) = pi^2/6 + x ln(1 - e^-x) - Li2(e^-x)
+    x = mpmath.mpf(x)
+    u = mpmath.exp(-x)
+    j = mpmath.pi ** 2 / 6 + x * mpmath.log(1 - u) - mpmath.polylog(2, u)
+    return -x * x / mpmath.expm1(x) + 2 * j
+
+
+def test_reduced_debye_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # from x -> 0 to past x = 35, where the 8 initial panels need a
+    # bisection, and on both sides of the tail cutoff
+    with mpmath.workdps(40):
+        for x in (1e-8, 0.3, 1.0, 5.0, 20.0, 50.0, 59.5,
+                  physics._TAIL_CUTOFF, 60.5, 100.0, 1e3):
+            exact = _mpmath_reduced_debye(mpmath, x)
+            value, err = reduced_debye_integral(x)
+            assert abs(value - exact) <= 1e-13 * exact, x
+            assert abs(value - exact) <= err, x
+
+
+def test_band_integral_cache_is_bounded():
+    cached = physics._reduced_debye_cached
+    maxsize = cached.cache_info().maxsize
+    assert maxsize is not None
+    for x in np.linspace(1.0, 2.0, maxsize + 10):
+        reduced_debye_integral(x, rel_tol=1e-3)
+    assert cached.cache_info().currsize == maxsize
 
 
 def test_debye_integral_golden_and_zero():
