@@ -8,11 +8,11 @@ the emitting two-level system from stochastic trajectories.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DomainError, EmptyFileError, FitError,
-                     FormatError, IllConditionedError, InsufficientDataError,
-                     InsufficientDecayError, NoPeakError, NonMonotonicGridError,
-                     NotConvergedError, NonUnimodalError, ParseError,
-                     QuadratureError, ZplkitError)
+from .errors import (ConfigError, DomainError, FitError, FormatError,
+                     IllConditionedError, InsufficientDataError,
+                     InsufficientDecayError, NoPeakError, NotConvergedError,
+                     NonUnimodalError, ParseError, QuadratureError,
+                     ZplkitError)
 from .lineshape import (GAUSSIAN_FWHM_FACTOR, VoigtParams, gaussian_profile,
                         gamma_from_fwhm, grid_fwhm, invert_voigt_fwhm,
                         lorentzian_profile, measure_fwhm, sigma_from_fwhm,

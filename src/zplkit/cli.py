@@ -11,15 +11,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, DomainError, FitError, FormatError,
-                     InsufficientDecayError, ParseError, QuadratureError)
+from .errors import ConfigError, FitError, ParseError, ZplkitError
 from .fitting import analyze_series, classify_lineshape, compare_models, fit_voigt
 from .io_formats import (_finite, _synthetic_grid_steps, _write_table,
                          generate_synthetic_series, load_linewidths,
                          load_manifest, load_series, load_spectrum,
                          save_spectrum, sha256_of_file, write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
-from .physics import MODEL_KINDS, make_model
+from .physics import MODEL_KINDS, SHAPE_DEFAULTS, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
 
 
@@ -69,6 +68,13 @@ def _model_block(row):
               **{m.shape[name]: v for name, v in m.shape_values().items()}}
     return {"kind": row.kind, "params": params, "rss": row.rss,
             "n_free": row.n_free, "aic": row.aic, "delta_aic": row.delta_aic}
+
+
+def _shape(args, fallback=None):
+    """The shape flags as make_model keywords; a flag left out takes the
+    attribute of the same name on `fallback` (a manifest), if given."""
+    return {name: getattr(args, name) if getattr(args, name) is not None
+            else getattr(fallback, name, None) for name in SHAPE_DEFAULTS}
 
 
 def _provenance(input_paths, seed=None):
@@ -129,14 +135,10 @@ def _write_curves(args, result, t_lo, t_hi):
 def cmd_series(args):
     manifest = load_manifest(args.manifest)
     series = load_series(manifest)
-    theta_d = args.theta_d if args.theta_d is not None else manifest.debye_temperature
-    phonon_energy = (args.phonon_energy if args.phonon_energy is not None
-                     else manifest.phonon_energy)
     result = analyze_series(series, quantity=args.quantity,
                             gaussian_floor=args.fix_fg,
-                            debye_temperature=theta_d,
-                            phonon_energy=phonon_energy,
-                            weighted=not args.unweighted)
+                            weighted=not args.unweighted,
+                            **_shape(args, manifest))
     _say(args, f"temperatures    {len(result.per_temperature)}")
     _say(args, f"gaussian_floor  {result.gaussian_floor:.6f} meV")
     _print_comparison(args, result.comparisons)
@@ -145,7 +147,7 @@ def cmd_series(args):
         record = {
             "kind": "series_fit",
             "emitter_id": manifest.emitter_id,
-            "quantity": result.quantity,
+            "quantity": args.quantity,
             "gaussian_floor_meV": result.gaussian_floor,
             "per_temperature": [_fit_block(t, f)
                                 for t, f in result.per_temperature],
@@ -176,8 +178,7 @@ def cmd_compare(args):
     floor = args.fix_fg if args.fix_fg is not None else record_floor
     rows = compare_models(points, kinds=args.models, quantity=args.quantity,
                           gaussian_floor=floor if args.quantity == "total" else 0.0,
-                          debye_temperature=args.theta_d,
-                          phonon_energy=args.phonon_energy)
+                          **_shape(args))
     _print_comparison(args, rows)
     if args.output:
         write_result_record({
@@ -218,8 +219,7 @@ def cmd_synth(args):
     if (t_stop - args.t_start) / args.t_step > _MAX_SYNTH_TEMPERATURES:
         raise ConfigError(f"--t-step {args.t_step:g} gives more than "
                           f"{_MAX_SYNTH_TEMPERATURES} temperatures")
-    model = make_model(args.model, args.amplitude, debye_temperature=args.theta_d,
-                       phonon_energy=args.phonon_energy)
+    model = make_model(args.model, args.amplitude, **_shape(args))
     temperatures = np.arange(args.t_start, t_stop, args.t_step)
     manifest_path = generate_synthetic_series(
         args.out_dir, model, gaussian_floor=args.fg,
@@ -251,12 +251,16 @@ def _build_parser():
         p.add_argument("--quiet", action="store_true",
                        help="suppress the human-readable summary")
 
-    def add_model_flags(p):
+    def add_shape_flags(p):
         p.add_argument("--theta-d", type=_number, default=None, metavar="K",
-                       help="Debye temperature (default 600, or manifest value)")
+                       dest="debye_temperature",
+                       help="Debye temperature (default 600)")
         p.add_argument("--phonon-energy", type=_number, default=None,
-                       metavar="MEV",
-                       help="optical phonon energy (default 18, or manifest value)")
+                       metavar="MEV", dest="phonon_energy",
+                       help="optical phonon energy (default 18)")
+
+    def add_model_flags(p):
+        add_shape_flags(p)
         p.add_argument("--fix-fg", type=_number, default=None, metavar="MEV",
                        help="fix the Gaussian floor instead of estimating it")
         p.add_argument("--quantity", choices=("total", "lorentzian"),
@@ -275,7 +279,8 @@ def _build_parser():
 
     p = sub.add_parser("series",
                        help="fit a temperature series and rank models")
-    p.add_argument("manifest", help="series manifest (JSON)")
+    p.add_argument("manifest", help="series manifest (JSON); its values "
+                                    "stand in for shape flags left out")
     p.add_argument("--output", help="write a JSON result record here")
     p.add_argument("--curves-dir",
                    help="write per-model 1 K-step curve files here")
@@ -318,8 +323,7 @@ def _build_parser():
     p.add_argument("--model", choices=MODEL_KINDS, default="acoustic_debye")
     p.add_argument("--amplitude", type=_number, default=6.82,
                    help="model amplitude, meV (default 6.82)")
-    p.add_argument("--theta-d", type=_number, default=None, metavar="K")
-    p.add_argument("--phonon-energy", type=_number, default=None, metavar="MEV")
+    add_shape_flags(p)
     p.add_argument("--fg", type=_number, default=0.72,
                    help="constant Gaussian floor, meV (default 0.72)")
     p.add_argument("--snr", type=_number, default=30.0,
@@ -348,12 +352,12 @@ def main(argv=None):
         print(f"error: parse: value too large for float arithmetic ({exc})",
               file=sys.stderr)
         return 1
-    except (FormatError, ConfigError, DomainError, QuadratureError) as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return 1
-    except (FitError, InsufficientDecayError) as exc:
+    except FitError as exc:
         print(f"error: fit: {exc}", file=sys.stderr)
         return 2
+    except ZplkitError as exc:  # every other package error
+        print(f"error: parse: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line reports a FitError as a fit failure (exit code 2) and any
+other ZplkitError as a parse error (exit code 1).
+"""
 
 
 class ZplkitError(Exception):
@@ -51,17 +55,9 @@ class ParseError(FormatError):
         self.line_number = line_number
 
 
-class NonMonotonicGridError(FormatError):
-    """The energy grid in a spectrum file is not strictly increasing."""
-
-
-class EmptyFileError(FormatError):
-    """A spectrum file contains no data rows."""
-
-
 class ConfigError(ZplkitError, ValueError):
     """An invalid simulation or pipeline configuration."""
 
 
-class InsufficientDecayError(ZplkitError):
+class InsufficientDecayError(FitError):
     """A coherence trace has not decayed enough for a windowed transform."""

@@ -116,9 +116,11 @@ class ModelComparison:
 class SeriesFitResult:
     per_temperature: tuple
     comparisons: tuple
-    best_model: str
     gaussian_floor: float
-    quantity: str
+
+    @property
+    def best_model(self):
+        return self.comparisons[0].kind
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +361,18 @@ def _fwhm_partials(f_l, f_g):
 
 
 def build_series_problem(temperatures, values, kind, *, quantity="total",
-                         gaussian_floor=0.0, fit_floor=False,
-                         debye_temperature=None, phonon_energy=None):
+                         gaussian_floor=0.0, fit_floor=False, **shape):
     """Residual/Jacobian closures for a linewidth-vs-temperature model fit.
 
     Exposed for the same reason as build_voigt_problem: the analytic
     Jacobian is part of the engine contract and is checked against central
     finite differences.  Parameters are [amplitude] plus [floor] when
-    `fit_floor`, both meant to be bounded below by zero; shape parameters
-    default when None.
+    `fit_floor`, both meant to be bounded below by zero; `shape` goes to
+    physics.make_model as it is.
     """
     temps = np.asarray(temperatures, dtype=float)
     y = np.asarray(values, dtype=float)
-    unit = physics.make_model(kind, 1.0, debye_temperature=debye_temperature,
-                              phonon_energy=phonon_energy)
+    unit = physics.make_model(kind, 1.0, **shape)
     basis = np.array([unit.lorentzian_fwhm(t) for t in temps])
 
     def unpack(p):
@@ -402,15 +402,14 @@ def build_series_problem(temperatures, values, kind, *, quantity="total",
 
 
 def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
-               fit_floor=False, debye_temperature=None, phonon_energy=None
-               ) -> SeriesModelFit:
+               fit_floor=False, **shape) -> SeriesModelFit:
     """Fit one dephasing model to (temperature, linewidth) data.
 
     `quantity` states explicitly what the y-values are: "total" fits the
     combined Voigt FWHM (Gaussian floor included, fixed to `gaussian_floor`
     or fitted when `fit_floor`), "lorentzian" fits the bare Lorentzian
     component.  Only amplitudes (and optionally the floor) are free; the
-    Debye temperature and phonon energy are fixed (None: model default).
+    shape parameters are fixed, as physics.make_model takes them.
     """
     if quantity not in ("total", "lorentzian"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -426,13 +425,9 @@ def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
             "need at least 3 points and more points than parameters")
     temps = np.array([t for t, _ in pts])
     y = np.array([v for _, v in pts])
-    if np.any(temps < 0):
-        raise DomainError("temperatures must be >= 0")
-
     residual, jacobian, unpack, basis = build_series_problem(
         temps, y, kind, quantity=quantity, gaussian_floor=gaussian_floor,
-        fit_floor=fit_floor, debye_temperature=debye_temperature,
-        phonon_energy=phonon_energy)
+        fit_floor=fit_floor, **shape)
 
     if fit_floor and not gaussian_floor > 0:
         floor0 = float(y.min())  # lowest-T total width approximates the floor
@@ -450,9 +445,7 @@ def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
         raise NotConvergedError(
             f"series fit hit the {result.n_iterations}-iteration cap")
     amplitude, floor = unpack(result.params)
-    model = physics.make_model(kind, amplitude, gaussian_floor=floor,
-                               debye_temperature=debye_temperature,
-                               phonon_energy=phonon_energy)
+    model = physics.make_model(kind, amplitude, gaussian_floor=floor, **shape)
     return SeriesModelFit(model=model, rss=result.rss, n_free=n_free,
                           n_iterations=result.n_iterations)
 
@@ -485,13 +478,13 @@ def compare_models(points, kinds=physics.MODEL_KINDS, **fit_kwargs):
 
 
 def analyze_series(series, *, quantity="total", gaussian_floor=None,
-                   debye_temperature=None, phonon_energy=None,
-                   weighted=True) -> SeriesFitResult:
+                   weighted=True, **shape) -> SeriesFitResult:
     """Full pipeline on (temperature, Spectrum) pairs.
 
     Per-spectrum Voigt fits, shared-floor component extraction, then all
     candidate models fitted and ranked on the requested quantity.  Pass
-    `gaussian_floor` to override the estimated shared floor.
+    `gaussian_floor` to override the estimated shared floor; `shape` goes
+    to every model fit, as in fit_series.
     """
     ordered = sorted(series, key=lambda ts: ts[0])
     fits = tuple((t, fit_voigt(s, weighted=weighted)) for t, s in ordered)
@@ -504,8 +497,6 @@ def analyze_series(series, *, quantity="total", gaussian_floor=None,
     else:
         raise DomainError(f"unknown quantity {quantity!r}")
     comparisons = tuple(compare_models(
-        points, quantity=quantity, gaussian_floor=floor,
-        debye_temperature=debye_temperature, phonon_energy=phonon_energy))
+        points, quantity=quantity, gaussian_floor=floor, **shape))
     return SeriesFitResult(per_temperature=fits, comparisons=comparisons,
-                           best_model=comparisons[0].kind,
-                           gaussian_floor=floor, quantity=quantity)
+                           gaussian_floor=floor)

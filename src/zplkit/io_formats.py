@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, EmptyFileError, NonMonotonicGridError,
-                     ParseError)
+from .errors import DomainError, ParseError
 from .fitting import Spectrum
 from .lineshape import VoigtParams, voigt_fwhm, voigt_profile
 from .physics import SHAPE_DEFAULTS
@@ -150,15 +149,9 @@ def load_spectrum(path, temperature=None, emitter_id=None) -> Spectrum:
     except ValueError:
         raise ParseError("bad temperature_K comment", line_number) from None
     meta_emitter = comments.get("emitter_id", ("",))[0]
-    if not energies:
-        raise EmptyFileError(f"no data rows in {path}")
-    energy = np.array(energies)
-    if np.any(np.diff(energy) <= 0):
-        raise NonMonotonicGridError(
-            f"energy grid in {path} is not strictly increasing")
     try:
         return Spectrum(
-            energy=energy, intensity=np.array(intensities),
+            energy=energies, intensity=intensities,
             temperature=meta_temperature if temperature is None else temperature,
             emitter_id=meta_emitter if emitter_id is None else emitter_id)
     except DomainError as exc:

@@ -21,6 +21,7 @@ _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e15
 _RSS_RTOL = 1e-10  # converged: relative RSS drop of an accepted step
 _STEP_TOL = 1e-12  # converged: norm of a proposed step
+_MAX_ITERATIONS = 500  # not converged: reason "cap"
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class LeastSquaresResult:
         return self.reason != "cap"
 
 
-def least_squares(residual, jacobian, p0, max_iterations=500, lower=None):
+def least_squares(residual, jacobian, p0, lower=None):
     """Minimize sum(residual(p)**2) starting from p0, subject to p >= lower.
 
     Parameters
@@ -67,11 +68,11 @@ def least_squares(residual, jacobian, p0, max_iterations=500, lower=None):
     -inf makes both no-ops.
 
     Convergence: relative RSS change below _RSS_RTOL, or proposed step norm
-    below _STEP_TOL, or no descent direction left at maximal damping.  One
-    iteration is one trial step, accepted or not.  The covariance is
-    (J^T J)^-1 scaled by rss/(m - n) at the solution, taken over the
-    parameters off their bounds; a parameter on its bound gets an infinite
-    variance.
+    below _STEP_TOL, or no descent direction left at maximal damping, within
+    _MAX_ITERATIONS iterations.  One iteration is one trial step, accepted
+    or not.  The covariance is (J^T J)^-1 scaled by rss/(m - n) at the
+    solution, taken over the parameters off their bounds; a parameter on
+    its bound gets an infinite variance.
     """
     p = np.asarray(p0, dtype=float).copy()
     lower = (np.full(p.size, -np.inf) if lower is None
@@ -109,7 +110,7 @@ def least_squares(residual, jacobian, p0, max_iterations=500, lower=None):
     reason = "cap"
     n_accepted = n_rejected = 0
     iteration = 0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         damped = hess + lam * np.diag(scale)
         rhs = -grad
         frozen = (p <= lower) & (grad > 0)

@@ -92,7 +92,7 @@ def reduced_debye_integral(x_max, rel_tol=1e-10):
     return _reduced_debye_cached(float(x_max), float(rel_tol))
 
 
-def debye_integral(temperature, debye_temperature, rel_tol=1e-10):
+def debye_integral(temperature, debye_temperature):
     """Acoustic dephasing integral over the phonon band, in (1/ps)^3.
 
     Equals (kT/hbar)^3 times the reduced integral up to x_D = theta_D / T;
@@ -108,7 +108,7 @@ def debye_integral(temperature, debye_temperature, rel_tol=1e-10):
     # theta_D / T overflows for a subnormal T; inf takes the same tail branch
     x_d = (math.inf if temperature < 1e-300 * debye_temperature
            else debye_temperature / temperature)
-    value, _ = reduced_debye_integral(x_d, rel_tol)
+    value, _ = reduced_debye_integral(x_d)
     rate = BOLTZMANN_MEV_PER_K * temperature / HBAR_MEV_PS
     return rate ** 3 * value
 
@@ -133,8 +133,8 @@ class DephasingModel:
         if not (self.amplitude >= 0 and self.gaussian_floor >= 0):
             raise DomainError("amplitude and gaussian_floor must be >= 0")
         for name in self.shape:
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be > 0 and finite")
 
     def lorentzian_fwhm(self, temperature):
         value = self.amplitude * self.basis(temperature)

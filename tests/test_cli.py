@@ -11,10 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import synthetic_voigt_spectrum
+from zplkit import cli
 from zplkit.cli import main
-from zplkit.io_formats import save_spectrum
+from zplkit.errors import FitError, NonUnimodalError, ZplkitError
+from zplkit.io_formats import generate_synthetic_series, save_spectrum
 from zplkit.fitting import Spectrum
-from zplkit.physics import MODEL_KINDS
+from zplkit.physics import MODEL_KINDS, make_model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -276,6 +278,24 @@ def test_exit_codes(tmp_path):
         assert result.returncode == 1, args
         assert result.stderr.startswith("error: parse:")
         assert len(result.stderr.splitlines()) == 1
+    # a manifest shape parameter beyond float range: json writes inf as
+    # Infinity, and reads 1e400 as inf
+    generate_synthetic_series(tmp_path / "wide",
+                              make_model("acoustic_debye", 6.82),
+                              temperatures=(10.0, 90.0, 170.0), n_points=201)
+    series = tmp_path / "wide" / "series.json"
+    doc = json.loads(series.read_text())
+    for theta in (float("inf"), "1e400"):
+        doc["metadata"]["theta_D_K"] = theta
+        series.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
+        result = run_cli("series", str(series), "--output",
+                         str(tmp_path / "rec.json"), "--curves-dir",
+                         str(tmp_path / "curves"))
+        assert result.returncode == 1, theta
+        assert result.stderr.startswith("error: parse:")
+        assert len(result.stderr.splitlines()) == 1
+        assert not os.path.exists(tmp_path / "rec.json")
+        assert not os.path.exists(tmp_path / "curves")
     # a successful run prints nothing on stderr, not even a numpy warning
     # (a subnormal temperature overflows E/kT and theta_D/T)
     subnormal = tmp_path / "subnormal.csv"
@@ -420,6 +440,68 @@ def test_series_single_temperature_manifest_fails_cleanly(tmp_path):
     result = run_cli("series", str(tmp_path / "m.json"))
     assert result.returncode == 2
     assert result.stderr.startswith("error: fit:")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_package_error_is_one_line(tmp_path, monkeypatch, capsys):
+    # the exit category follows the class hierarchy alone
+    errors = set(_subclasses(ZplkitError))
+    assert NonUnimodalError in errors
+    for error in errors:
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "load_spectrum", fail)
+        code = main(["fit", str(tmp_path / "never_read.csv")])
+        err = capsys.readouterr().err
+        if issubclass(error, FitError):
+            assert (code, err) == (2, "error: fit: boom\n"), error
+        else:
+            assert (code, err) == (1, "error: parse: boom\n"), error
+
+
+def _shape_params(path):
+    record = json.loads(path.read_text())
+    return {key: value for block in record["models"]
+            for key, value in block["params"].items()
+            if key in ("debye_temperature_K", "phonon_energy_meV")}
+
+
+def test_shape_flags_override_manifest_and_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_in_process([
+        "synth", "--out-dir", "demo", "--model", "optical_mode",
+        "--theta-d", "800", "--phonon-energy", "22", "--t-start", "90",
+        "--n-points", "201", "--quiet"])[0] == 0
+    manifest = tmp_path / "demo" / "series.json"
+    doc = json.loads(manifest.read_text())
+    assert doc["metadata"]["phonon_energy_meV"] == 22.0
+    # synth writes its own model's shape parameters; give the manifest a
+    # Debye temperature off the default too
+    doc["metadata"]["theta_D_K"] = 800.0
+    manifest.write_text(json.dumps(doc))
+    # a shape flag left out takes the manifest's value
+    for flags, expected in (((), (800.0, 22.0)),
+                            (("--theta-d", "450"), (450.0, 22.0))):
+        code, _, err = _run_in_process(["series", "demo/series.json",
+                                        "--output", "rec.json", *flags])
+        assert code == 0, err
+        assert _shape_params(tmp_path / "rec.json") == {
+            "debye_temperature_K": expected[0],
+            "phonon_energy_meV": expected[1]}
+    # compare has no manifest: a flag left out takes the model default
+    (tmp_path / "table.csv").write_text("10,0.75\n50,0.9\n100,1.6\n"
+                                        "180,3.4\n270,6.9\n")
+    code, _, err = _run_in_process(["compare", "table.csv", "--phonon-energy",
+                                    "15", "--output", "cmp.json"])
+    assert code == 0, err
+    assert _shape_params(tmp_path / "cmp.json") == {
+        "debye_temperature_K": 600.0, "phonon_energy_meV": 15.0}
 
 
 def test_quiet_suppresses_summary(synth_dir):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zplkit import optimize
 from zplkit.errors import IllConditionedError
 from zplkit.optimize import least_squares
 
@@ -113,14 +114,15 @@ def test_infeasible_trial_steps_are_rejected_not_fatal():
     assert result.params[0] == pytest.approx(0.5, abs=1e-10)
 
 
-def test_iteration_cap_reported():
+def test_iteration_cap_reported(monkeypatch):
     def residual(p):
         return np.array([np.exp(p[0]) - 123.0, p[1] - 2.0])
 
     def jacobian(p):
         return np.array([[np.exp(p[0]), 0.0], [0.0, 1.0]])
 
-    result = least_squares(residual, jacobian, [20.0, 5.0], max_iterations=2)
+    monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 2)
+    result = least_squares(residual, jacobian, [20.0, 5.0])
     assert not result.converged
     assert result.n_iterations == 2
     assert result.reason == "cap"

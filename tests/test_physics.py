@@ -197,6 +197,13 @@ def test_model_validation():
         CubicLaw(nan)
     with pytest.raises(DomainError):
         CubicLaw(1.0, gaussian_floor=nan)
+    inf = float("inf")
+    with pytest.raises(DomainError):
+        AcousticDebye(1.0, inf)
+    with pytest.raises(DomainError):
+        OpticalMode(1.0, inf)
+    with pytest.raises(DomainError):
+        make_model("acoustic_debye", 1.0, debye_temperature=inf)
 
 
 def test_make_model_kinds(tmp_path):
