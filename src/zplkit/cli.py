@@ -18,7 +18,7 @@ from .io_formats import (_finite, _synthetic_grid_steps, _write_table,
                          load_manifest, load_series, load_spectrum,
                          save_spectrum, sha256_of_file, write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
-from .physics import MODEL_KINDS, SHAPE_DEFAULTS, make_model
+from .physics import MODEL_KINDS, SHAPE_DEFAULTS, check_shape, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
 
 
@@ -71,10 +71,15 @@ def _model_block(row):
 
 
 def _shape(args, fallback=None):
-    """The shape flags as make_model keywords; a flag left out takes the
-    attribute of the same name on `fallback` (a manifest), if given."""
-    return {name: getattr(args, name) if getattr(args, name) is not None
-            else getattr(fallback, name, None) for name in SHAPE_DEFAULTS}
+    """The shape flags as make_model keywords, each checked even where the
+    chosen models do not take it; a flag left out takes the attribute of the
+    same name on `fallback` (a manifest), if given."""
+    shape = {name: getattr(args, name) if getattr(args, name) is not None
+             else getattr(fallback, name, None) for name in SHAPE_DEFAULTS}
+    for name, value in shape.items():
+        if value is not None:
+            check_shape(name, value)
+    return shape
 
 
 def _provenance(input_paths, seed=None):
@@ -134,11 +139,10 @@ def _write_curves(args, result, t_lo, t_hi):
 
 def cmd_series(args):
     manifest = load_manifest(args.manifest)
-    series = load_series(manifest)
-    result = analyze_series(series, quantity=args.quantity,
+    shape = _shape(args, manifest)
+    result = analyze_series(load_series(manifest), quantity=args.quantity,
                             gaussian_floor=args.fix_fg,
-                            weighted=not args.unweighted,
-                            **_shape(args, manifest))
+                            weighted=not args.unweighted, **shape)
     _say(args, f"temperatures    {len(result.per_temperature)}")
     _say(args, f"gaussian_floor  {result.gaussian_floor:.6f} meV")
     _print_comparison(args, result.comparisons)

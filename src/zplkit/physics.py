@@ -20,7 +20,8 @@ __all__ = [
     "BOLTZMANN_MEV_PER_K", "HBAR_MEV_PS", "REFERENCE_TEMPERATURE_K",
     "bose_einstein", "reduced_debye_integral", "debye_integral",
     "cubic_asymptote", "AcousticDebye", "CubicLaw", "OpticalMode",
-    "DephasingModel", "MODEL_KINDS", "SHAPE_DEFAULTS", "make_model",
+    "DephasingModel", "MODEL_KINDS", "SHAPE_DEFAULTS", "check_shape",
+    "make_model",
 ]
 
 BOLTZMANN_MEV_PER_K = 8.617333262e-2   # CODATA 2018
@@ -133,8 +134,7 @@ class DephasingModel:
         if not (self.amplitude >= 0 and self.gaussian_floor >= 0):
             raise DomainError("amplitude and gaussian_floor must be >= 0")
         for name in self.shape:
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be > 0 and finite")
+            check_shape(name, getattr(self, name))
 
     def lorentzian_fwhm(self, temperature):
         value = self.amplitude * self.basis(temperature)
@@ -206,6 +206,12 @@ MODEL_KINDS = {cls.kind: cls for cls in (AcousticDebye, CubicLaw, OpticalMode)}
 
 SHAPE_DEFAULTS = {f.name: f.default for cls in MODEL_KINDS.values()
                   for f in fields(cls) if f.name in cls.shape}
+
+
+def check_shape(name, value):
+    """Raise DomainError unless shape parameter `name` is > 0 and finite."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be > 0 and finite")
 
 
 def make_model(kind, amplitude, *, gaussian_floor=0.0, **shape) -> DephasingModel:

@@ -8,6 +8,9 @@ emission spectrum.  Units: rates in 1/ps, times in ps, energies in meV.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +26,8 @@ __all__ = ["SimulationConfig", "CoherenceTrace", "analytic_coherence",
 _PAD_FACTOR = 8  # zero padding of the symmetric trace before the FFT
 _DECAY_REQUIRED = 1e-6
 _BLOCK = 1024  # Monte-Carlo trajectories per random stream
-_BATCH_BLOCKS = 4  # blocks advanced together; bounds working memory
+_BATCH_BLOCKS = 4  # most blocks advanced together; bounds working memory
+_STEP_CHUNK = 16  # time steps drawn and reduced together
 _MAX_STEPS = 10 ** 6  # time steps per run; keeps the FFT buffers near 256 MB
 
 
@@ -169,14 +173,80 @@ def spectrum_from_coherence(trace, center) -> Spectrum:
                     temperature=0.0, emitter_id="simulated")
 
 
+def _usable_cpus():
+    """CPUs this process may run on (the affinity mask where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _batch_sums(config, blocks, stop):
+    """Per-step sums of u = 1 - cos(phase) and of u^2 over each block in
+    `blocks` (a range of block indices): an array (2, n_pts, len(blocks)).
+    Returns None, unfinished, once the event `stop` is set."""
+    n_pts = config.n_steps + 1
+    rho = np.exp(-config.correlation_rate * config.dt)
+    half_dt_sigma = 0.5 * config.dt * config.sigma
+    kick = half_dt_sigma * np.sqrt(max(0.0, 1.0 - rho * rho))
+    first = blocks.start * _BLOCK
+    size = min(blocks.stop * _BLOCK, config.n_trajectories) - first
+    offsets = np.arange(0, size, _BLOCK)
+    widths = np.diff(offsets, append=size)
+    gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+                entropy=config.seed, spawn_key=(b,)))) for b in blocks]
+    chunk = min(_STEP_CHUNK, n_pts)
+    # one row per step of a chunk: the field kicks (stream times kick, the
+    # field kept scaled by dt*sigma/2), overwritten by the phases, then u
+    rows = np.empty((chunk, size))
+    draws = np.empty(chunk * min(size, _BLOCK))
+    field, partial, carry = np.empty(size), np.empty(size), np.zeros(size)
+    sums = np.empty((2, n_pts, offsets.size))
+    for k0 in range(0, n_pts, chunk):
+        if stop.is_set():
+            return None
+        steps = min(chunk, n_pts - k0)
+        for gen, a, w in zip(gens, offsets, widths):
+            block = draws[:steps * w].reshape(steps, w)
+            gen.standard_normal(out=block)  # the block's stream, in order
+            np.multiply(block, kick, out=rows[:steps, a:a + w])
+            if k0 == 0:
+                np.multiply(block[0], half_dt_sigma, out=rows[0, a:a + w])
+        if k0 == 0:  # stationary start; the phase starts at 0
+            field[:] = rows[0]
+            rows[0] = 0.0
+        phase = carry
+        for s in range(k0 == 0, steps):
+            np.add(phase, field, out=partial)
+            field *= rho
+            field += rows[s]
+            np.add(partial, field, out=rows[s])
+            phase = rows[s]
+        carry[:] = phase
+        u = rows[:steps]
+        np.cos(u, out=u)
+        np.subtract(1.0, u, out=u)
+        # one segment per block: the summation order decides the last bit
+        np.add.reduceat(u, offsets, axis=1, out=sums[0, k0:k0 + steps])
+        np.multiply(u, u, out=u)
+        np.add.reduceat(u, offsets, axis=1, out=sums[1, k0:k0 + steps])
+    return sums
+
+
 def mc_coherence(config) -> CoherenceTrace:
     """Monte-Carlo coherence from exact Gauss-Markov field trajectories.
 
     The unit-variance field takes the exact step e' = rho*e + sqrt(1-rho^2)*xi
     with rho = exp(-correlation_rate*dt); the phase follows by the trapezoid
     rule.  Block b of _BLOCK trajectories draws from an SFC64 stream seeded
-    by SeedSequence(entropy=seed, spawn_key=(b,)); block sums are added in
-    block order, so results do not depend on batching.
+    by SeedSequence(entropy=seed, spawn_key=(b,)), _STEP_CHUNK steps at a
+    time.  Blocks are grouped in batches of at most _BATCH_BLOCKS, which
+    run on up to min(usable CPUs, blocks) threads, the caller's among them;
+    block sums are added in block order, so results do not depend on the
+    batching, the chunking or the thread count.  Worker threads run in a
+    copy of the caller's context (numpy's floating-point error state
+    included), and the first exception a worker raises is raised here once
+    every thread has finished.
 
     The zero-mean Gaussian phase is symmetric, so Im g is exactly 0 and only
     Re g = <cos(phase)> is estimated, through u = 1 - cos(phase): g = 1 -
@@ -185,37 +255,67 @@ def mc_coherence(config) -> CoherenceTrace:
     cancellation it would suffer on cos itself)."""
     n_pts = config.n_steps + 1
     n_traj = config.n_trajectories
-    rho = np.exp(-config.correlation_rate * config.dt)
-    half_dt_sigma = 0.5 * config.dt * config.sigma
-    kick = half_dt_sigma * np.sqrt(max(0.0, 1.0 - rho * rho))
-    sums = np.zeros((n_pts, 2))  # sums of u = 1 - cos(phase) and of u^2
-    for first in range(0, -(-n_traj // _BLOCK), _BATCH_BLOCKS):
-        size = min(_BATCH_BLOCKS * _BLOCK, n_traj - first * _BLOCK)
-        offsets = np.arange(0, size, _BLOCK)
-        gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-                    entropy=config.seed, spawn_key=(b,))))
-                for b in range(first, first + offsets.size)]
-        noise, phase, u = np.empty(size), np.zeros(size), np.empty((2, size))
-        block_sums = np.empty((n_pts, 2, offsets.size))
-        for k in range(n_pts):
-            for gen, a in zip(gens, offsets):
-                gen.standard_normal(out=noise[a:a + _BLOCK])
-            if k == 0:  # stationary start; field kept scaled by dt*sigma/2
-                field = noise * half_dt_sigma
-            else:
-                phase += field
-                field *= rho
-                noise *= kick
-                field += noise
-                phase += field
-            np.cos(phase, out=u[0])
-            np.subtract(1.0, u[0], out=u[0])
-            np.multiply(u[0], u[0], out=u[1])
-            np.add.reduceat(u, offsets, axis=1, out=block_sums[k])
-        for j in range(offsets.size):
-            sums += block_sums[:, :, j]
+    n_blocks = -(-n_traj // _BLOCK)
+    n_workers = min(_usable_cpus(), n_blocks)
+    # an equal share of blocks per worker, larger batches first
+    n_batches = -(-n_blocks // _BATCH_BLOCKS)
+    n_batches = min(-(-n_batches // n_workers) * n_workers, n_blocks)
+    q, r = divmod(n_blocks, n_batches)
+    starts = [i * q + min(i, r) for i in range(n_batches + 1)]
+    sums = np.zeros((2, n_pts))  # sums of u = 1 - cos(phase) and of u^2
+    # taken and folded count batches; at most `window` batches are taken
+    # and not yet folded, which bounds the sums waiting for a slow batch
+    taken = folded = 0
+    window = 2 * n_workers
+    finished, failures = {}, []
+    turn, stop = threading.Condition(), threading.Event()
 
-    mean_u, mean_u2 = sums[:, 0] / n_traj, sums[:, 1] / n_traj
+    def fail(exc):
+        with turn:
+            failures.append(exc)
+            stop.set()
+            turn.notify_all()
+
+    def work():
+        nonlocal taken, folded
+        try:
+            while True:
+                with turn:
+                    turn.wait_for(lambda: stop.is_set() or taken == n_batches
+                                  or taken < folded + window)
+                    if stop.is_set() or taken == n_batches:
+                        return
+                    i, taken = taken, taken + 1
+                block_sums = _batch_sums(
+                    config, range(starts[i], starts[i + 1]), stop)
+                if block_sums is None:
+                    return
+                with turn:  # add every batch whose predecessors are in
+                    finished[i] = block_sums
+                    while folded in finished:
+                        for column in np.moveaxis(finished.pop(folded), -1, 0):
+                            np.add(sums, column, out=sums)
+                        folded += 1
+                    turn.notify_all()
+        except BaseException as exc:  # raised again by the caller
+            fail(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work,)) for _ in range(n_workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    except BaseException as exc:  # a thread that could not start
+        fail(exc)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if failures:
+        raise failures[0]
+
+    mean_u, mean_u2 = sums[0] / n_traj, sums[1] / n_traj
     damp = np.exp(-config.gamma * config.t_grid)
     spread = np.clip(mean_u2 - mean_u * mean_u, 0.0, None)
     stderr = np.sqrt(spread / (n_traj - 1)) if n_traj > 1 else np.zeros(n_pts)

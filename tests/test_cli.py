@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import synthetic_voigt_spectrum
-from zplkit import cli
+from zplkit import cli, fitting, simulate
 from zplkit.cli import main
 from zplkit.errors import FitError, NonUnimodalError, ZplkitError
 from zplkit.io_formats import generate_synthetic_series, save_spectrum
@@ -184,7 +185,33 @@ def test_simulate_single_trajectory(tmp_path):
     assert np.any(table[:, 1] < np.exp(-table[:, 0]))  # the phase moved
 
 
-def test_exit_codes(tmp_path):
+def test_simulate_worker_overflow_is_one_parse_line(tmp_path, monkeypatch):
+    # a worker thread keeps main's floating-point error state: its overflow
+    # is the one parse line, and nothing is written
+    real = simulate._batch_sums
+    taken = threading.Event()
+
+    def batch_sums(config, blocks, stop):
+        if threading.current_thread() is threading.main_thread():
+            assert taken.wait(10)  # the worker thread takes a batch first
+            return real(config, blocks, stop)
+        taken.set()
+        return np.float64(1e300) * np.float64(1e300)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_batch_sums", batch_sums)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run_in_process([
+        "simulate", "--sigma", "0.46", "--gamma", "5.2", "--t-max", "4.0",
+        "--dt", "0.01", "--n-traj", "1100", "--quiet"])
+    assert code == 1
+    assert err.startswith("error: parse: value too large for float "
+                          "arithmetic (overflow")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_codes(tmp_path, monkeypatch):
     # io error: missing file
     result = run_cli("fit", str(tmp_path / "missing.csv"))
     assert result.returncode == 3
@@ -296,6 +323,28 @@ def test_exit_codes(tmp_path):
         assert len(result.stderr.splitlines()) == 1
         assert not os.path.exists(tmp_path / "rec.json")
         assert not os.path.exists(tmp_path / "curves")
+    # nor does it run one Voigt fit before rejecting that manifest
+    calls = []
+    monkeypatch.setattr(fitting, "fit_voigt",
+                        lambda *a, **k: calls.append(a))
+    code, _, err = _run_in_process(["series", str(series)])
+    assert (code, calls) == (1, [])
+    assert err.startswith("error: parse: debye_temperature")
+    # every shape flag is checked, also where the model does not take it
+    doc["metadata"]["theta_D_K"] = 600.0
+    series.write_text(json.dumps(doc))
+    for args in (("synth", "--out-dir", out, "--model", "optical_mode",
+                  "--theta-d", "-5"),
+                 ("synth", "--out-dir", out, "--model", "acoustic_debye",
+                  "--phonon-energy", "0"),
+                 ("compare", str(four), "--models", "cubic_law",
+                  "--theta-d", "-5"),
+                 ("series", str(series), "--phonon-energy", "-1")):
+        result = run_cli(*args)
+        assert result.returncode == 1, args
+        assert result.stderr.startswith("error: parse:"), args
+        assert len(result.stderr.splitlines()) == 1
+        assert not os.path.exists(out)
     # a successful run prints nothing on stderr, not even a numpy warning
     # (a subnormal temperature overflows E/kT and theta_D/T)
     subnormal = tmp_path / "subnormal.csv"

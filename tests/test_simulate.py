@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -183,14 +187,74 @@ def test_mc_fast_modulation_motional_narrowing():
 
 
 def test_mc_independent_of_batching(monkeypatch):
+    # 1, 2 and 3 workers (3: one per block), steps drawn one at a time, in
+    # default chunks and all in one chunk, and one or up to _BATCH_BLOCKS
+    # blocks per batch; a lost or reordered fold changes the bytes
     from zplkit import simulate
     config = _config(n_trajectories=2 * simulate._BLOCK + 37, seed=4)
-    assert simulate._BATCH_BLOCKS >= 3  # one batch holds every block
+    assert simulate._BATCH_BLOCKS >= 3  # one worker: one batch, all blocks
     default = mc_coherence(config)
-    monkeypatch.setattr(simulate, "_BATCH_BLOCKS", 1)
-    one_block = mc_coherence(config)
-    assert default.g.tobytes() == one_block.g.tobytes()
-    assert default.stderr.tobytes() == one_block.stderr.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers, chunk, batch in itertools.product(
+                (1, 2, 3), (1, simulate._STEP_CHUNK, config.n_steps + 5),
+                (1, simulate._BATCH_BLOCKS)):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(simulate, "_STEP_CHUNK", chunk)
+            monkeypatch.setattr(simulate, "_BATCH_BLOCKS", batch)
+            trace = mc_coherence(config)
+            assert default.g.tobytes() == trace.g.tobytes()
+            assert default.stderr.tobytes() == trace.stderr.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mc_worker_failure_reaches_caller(monkeypatch):
+    # the second batch fails on whichever thread takes it; every thread is
+    # joined before the failure reaches the caller
+    from zplkit import simulate
+    real = simulate._batch_sums
+
+    def failing(config, blocks, stop):
+        if blocks.start > 0:
+            raise KeyError("second batch")
+        return real(config, blocks, stop)
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_batch_sums", failing)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="second batch"):
+        mc_coherence(_config(n_trajectories=2 * simulate._BLOCK + 37))
+    assert threading.active_count() == before
+
+
+def test_mc_starts_at_most_one_thread_per_spare_cpu(monkeypatch):
+    from zplkit import simulate
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    def batch_sums(config, blocks, stop):  # no trajectories: counts only
+        return np.zeros((2, config.n_steps + 1, len(blocks)))
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    mc_coherence(_config(n_trajectories=simulate._BLOCK))
+    assert started == []  # one block: the caller runs it
+    monkeypatch.setattr(simulate, "_batch_sums", batch_sums)
+    readme = SimulationConfig(sigma=0.46, gamma=5.2, correlation_rate=0.005,
+                              t_max=3.6, dt=0.002, n_trajectories=10000,
+                              seed=3)
+    mc_coherence(readme)
+    assert len(started) <= simulate._usable_cpus() - 1
+    for cpus in (1, 3):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        started.clear()
+        mc_coherence(_config(n_trajectories=10 ** 6))
+        assert len(started) == cpus - 1
 
 
 def test_mc_determinism_and_stderr_scaling():
