@@ -223,10 +223,11 @@ def cmd_synth(args):
     if (t_stop - args.t_start) / args.t_step > _MAX_SYNTH_TEMPERATURES:
         raise ConfigError(f"--t-step {args.t_step:g} gives more than "
                           f"{_MAX_SYNTH_TEMPERATURES} temperatures")
-    model = make_model(args.model, args.amplitude, **_shape(args))
+    shape = _shape(args)
+    model = make_model(args.model, args.amplitude, **shape)
     temperatures = np.arange(args.t_start, t_stop, args.t_step)
     manifest_path = generate_synthetic_series(
-        args.out_dir, model, gaussian_floor=args.fg,
+        args.out_dir, model, shape=shape, gaussian_floor=args.fg,
         temperatures=temperatures, peak_snr=args.snr,
         n_points=args.n_points, seed=args.seed, emitter_id=args.emitter_id)
     sizes = [_synthetic_grid_steps(voigt_fwhm(

@@ -194,11 +194,13 @@ def build_voigt_problem(spectrum, mode="voigt", weighted=True):
     def jacobian(p):
         value, (d_dx, *d_widths) = profile(p, columns)
         amplitude = p[-2]
-        matrix = [-amplitude * d_dx]
-        matrix += [amplitude * _WIDTH_PARTIAL[name][1] * d
-                   for name, d in zip(widths, d_widths)]
-        matrix += [value, np.ones_like(value)]
-        return sqrt_w[:, None] * np.stack(matrix, axis=1)
+        # filled column by column, each entry the product np.stack gave
+        jac = np.empty((value.size, len(p)))
+        np.multiply(-amplitude, d_dx, out=jac[:, 0])
+        for j, (name, d) in enumerate(zip(widths, d_widths), start=1):
+            np.multiply(amplitude * _WIDTH_PARTIAL[name][1], d, out=jac[:, j])
+        jac[:, -2], jac[:, -1] = value, 1.0
+        return np.multiply(jac, sqrt_w[:, None], out=jac)
 
     return residual, jacobian, unpack
 

@@ -1,7 +1,9 @@
 """File formats: comma tables (spectra, linewidths, curves), series
 manifests, result records, and seeded synthetic-series generation.
 
-Comma tables have one reader and one writer; spectra carry 6 significant
+Comma tables have one grammar, one reader and one writer.  numpy parses
+a table's rows; the line parser, the owner of every parse error and its
+line number, takes any body numpy rejects.  Spectra carry 6 significant
 digits (byte-stable under load/save round trips).  Manifests and result
 records are JSON.  Writers are atomic (temp file + rename).
 """
@@ -86,17 +88,11 @@ def _finite(value, where="value", line_number=None):
     return number
 
 
-def _read_table(path):
-    """Parse a two-column comma table: ({key: (value, line_number)} of its
-    `# key = value` comments, (first column, second column)).
-
-    Blank lines are skipped; every other line is a comment or a row of two
-    finite numbers, and each defect is a ParseError with its line number.
-    """
+def _parse_table(lines):
+    """`_read_table` line by line: the owner of every ParseError it raises."""
     comments = {}
     first, second = [], []
-    # universal newlines: every line ends in "\n"
-    for line_number, line in enumerate(_read_text(path).split("\n"), start=1):
+    for line_number, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
@@ -117,18 +113,43 @@ def _read_table(path):
                 _finite(field, line_number=line_number)
         first.append(x)
         second.append(y)
-    return comments, (first, second)
+    return comments, np.array((first, second))
+
+
+def _read_table(path):
+    """Parse a two-column comma table: ({key: (value, line_number)} of its
+    `# key = value` comments, its columns as a (2, rows) float array).
+
+    Blank lines are skipped; every other line is a comment or a row of two
+    finite numbers, and each defect is a ParseError with its line number.
+    numpy parses the rows below the leading comments; the line parser takes
+    a body numpy rejects or reads as anything but finite pairs.
+    """
+    lines = _read_text(path).split("\n")  # universal newlines: all "\n"
+    header = 0
+    while header < len(lines) and lines[header].strip()[:1] in ("", "#"):
+        header += 1
+    if header < len(lines):  # loadtxt warns on an empty body
+        try:
+            table = np.loadtxt(lines[header:], delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == 2 and np.isfinite(table).all():
+                return _parse_table(lines[:header])[0], table.T
+    return _parse_table(lines)
 
 
 def _write_table(path, comments, columns, digits=6):
     """Write a comma table atomically: the comment lines (each starting
     with "#"), then one row per index of the equal-length `columns` at
     `digits` significant digits."""
-    row = ",".join([f"{{:.{digits}g}}"] * len(columns))
-    # Python floats format faster than numpy scalars, to the same text
-    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
-    lines = [*comments, *(row.format(*values) for values in rows)]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.array(columns, dtype=float).T
+    row = ",".join([f"%.{digits}g"] * rows.shape[1]) + "\n"
+    # one % over Python floats: the text a per-row str.format gives
+    _atomic_write_text(path, ("%s\n" * len(comments) + row * len(rows))
+                       % (*comments, *rows.ravel().tolist()))
 
 
 def save_spectrum(spectrum, path):
@@ -286,7 +307,7 @@ def load_linewidths(path, quantity):
                         f"gaussian_floor_meV in {path}")
     else:
         _, columns = _read_table(path)
-        points, floor = list(zip(*columns)), 0.0
+        points, floor = list(zip(*columns.tolist())), 0.0
     for t, width in points:
         if width < 0 or (quantity == "total" and width == 0):
             raise ParseError(f"invalid {quantity} linewidth {width!r} at "
@@ -318,7 +339,8 @@ def _synthetic_grid(center, total_fwhm, n_points):
     return start + np.arange(n) * step
 
 
-def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
+def generate_synthetic_series(out_dir, model, *, shape=None,
+                              gaussian_floor=0.72,
                               temperatures=DEFAULT_TEMPERATURES, peak_snr=30.0,
                               n_points=1001, emitter_id="synthetic", seed=0):
     """Write one spectrum file per temperature plus the manifest
@@ -332,8 +354,9 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
     +- max(8 total FWHM, 3 meV) with at most `n_points` points: the step
     is rounded up to whole 0.01 meV, so a narrow line gets fewer (577 of
     the default 1001 for the 10 K line of the `synth` defaults).
-    Deterministic for a fixed seed.
-    Every spectrum is computed before the first file is written, so
+    The manifest records the shape parameters `shape` gives ({name: value,
+    None for the default}), or the model's own.  Deterministic for a fixed
+    seed.  Every spectrum is computed before the first file is written, so
     invalid input leaves no file behind.
     """
     temperatures = sorted(float(t) for t in temperatures)
@@ -352,7 +375,8 @@ def generate_synthetic_series(out_dir, model, *, gaussian_floor=0.72,
         emitter_id=emitter_id, base_dir=os.fspath(out_dir),
         entries=tuple(ManifestEntry(t, f"spectrum_{index:02d}_{t:g}K.csv")
                       for index, t in enumerate(temperatures)),
-        **model.shape_values())
+        **{name: value for name, value in
+           (shape or model.shape_values()).items() if value is not None})
     t_lo, t_hi = temperatures[0], temperatures[-1]
     span = t_hi - t_lo
     spectra = []

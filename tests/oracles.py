@@ -95,3 +95,25 @@ def per_panel_gauss_kronrod(func, a, b, rel_tol=1e-10, abs_tol=1e-30,
         mid = 0.5 * (lo + hi)
         intervals[worst] = panel(lo, mid)
         intervals.append(panel(mid, hi))
+
+
+def gauss_markov_discrete_law(sigma, gamma, correlation_rate, dt, n_steps):
+    """Exact mean and per-trajectory standard deviation of Re g on the
+    simulator's time grid.  The trapezoid phase phi_{k+1} = phi_k + f_k +
+    f_{k+1} of a stationary AR(1) field f (variance s^2, s = dt*sigma/2,
+    lag-1 correlation rho = exp(-correlation_rate*dt)) is exactly Gaussian,
+    with variance V from the recurrence V_{k+1} = V_k + 2 s^2 (1 + rho)
+    (1 + c_k), c_{k+1} = rho c_k + rho + 1, V_0 = c_0 = 0 (s^2 c_k is
+    cov(phi_k, f_k)).  So E cos phi = exp(-V/2) and var cos phi =
+    (1 - exp(-V))^2 / 2; the mean and the standard deviation returned each
+    carry the homogeneous decay exp(-gamma t)."""
+    s2 = (0.5 * dt * sigma) ** 2
+    rho = np.exp(-correlation_rate * dt)
+    variance = np.zeros(n_steps + 1)
+    c = 0.0
+    for k in range(n_steps):
+        variance[k + 1] = variance[k] + 2.0 * s2 * (1.0 + rho) * (1.0 + c)
+        c = rho * c + rho + 1.0
+    damp = np.exp(-gamma * dt * np.arange(n_steps + 1))
+    return (np.exp(-0.5 * variance) * damp,
+            -np.expm1(-variance) / np.sqrt(2.0) * damp)

@@ -2,10 +2,12 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import synthetic_voigt_spectrum
+from zplkit import io_formats
 from zplkit.errors import DomainError, FormatError, ParseError
 from zplkit.fitting import fit_voigt
 from zplkit.io_formats import (ManifestEntry, SeriesManifest,
@@ -165,6 +167,90 @@ _LINE = st.one_of(
                             + [f"{i}.0,1" for i in range(x[0], 25)]))))
 def test_load_spectrum_any_input_loads_or_raises_format_error(data):
     _loads_or_raises_format_error(load_spectrum, data)
+
+
+def _table_outcome(read, path):
+    try:
+        comments, columns = read(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.line_number
+    return (comments, type(columns), columns.dtype, columns.shape,
+            columns.tobytes())
+
+
+_FIELD = st.one_of(
+    st.floats().map(repr), st.floats().map("{:.6g}".format),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["", " 1 ", "1_0", "\u0661", "inf", "-nan", "1e400",
+                     "0x10", "1.", ".5", "+1", "1,", "# x", "\x0c1", "1\xa0",
+                     "1\x00"]),
+    st.text(max_size=4))
+_TABLE_LINE = st.one_of(
+    st.lists(_FIELD, min_size=1, max_size=3).map(",".join),
+    st.tuples(_FIELD, _FIELD).map(",".join),
+    st.text(max_size=6).map(lambda v: f"# key = {v}"),
+    st.sampled_from(["", "  ", "#", "# energy_meV,intensity"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(),
+    st.tuples(st.lists(_TABLE_LINE, max_size=3),
+              st.lists(_TABLE_LINE, max_size=12),
+              st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda x: x[2].join(["# energy_meV,intensity", *x[0],
+                             *[f"{i},{i % 3}" for i in range(4)], *x[1]]))))
+@example(text="1,2 # x\n")
+@example(text="1_0,2\n")
+@example(text="\u0661,2\n")
+@example(text="1,inf\n")
+@example(text="nan,2\n")
+@example(text="1e400,2\n")
+@example(text="1,2\n\n3,4\n  \n5,6\n")
+@example(text="1,2\n# key = value\n3,4\n")
+@example(text="# a = 1\r\n1,2\r\n3,4\r\n")
+@example(text="")
+@example(text="# energy_meV,intensity\n# temperature_K = 10\n")
+def test_fast_table_reader_matches_line_parser(text):
+    # numpy's fast path returns what the line parser returns, down to the
+    # comments' line numbers and the column bytes, or the same ParseError
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        fast = _table_outcome(io_formats._read_table, path)
+        slow = _table_outcome(lambda p: io_formats._parse_table(
+            io_formats._read_text(p).split("\n")), path)
+    assert fast == slow
+
+
+def _per_row_table_text(comments, columns, digits):
+    # the writer's former per-row str.format, kept as the oracle
+    row = ",".join([f"{{:.{digits}g}}"] * len(columns))
+    rows = zip(*(np.asarray(column, dtype=float).tolist()
+                 for column in columns))
+    lines = [*comments, *(row.format(*values) for values in rows)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_columns=st.integers(2, 4), digits=st.sampled_from([6, 9]),
+       values=st.lists(st.one_of(
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                            1e300, -1e300, 1e-300, 1.5e-310])),
+           max_size=40))
+def test_table_writer_matches_per_row_format(n_columns, digits, values):
+    rows = len(values) // n_columns
+    columns = [values[i * rows:(i + 1) * rows] for i in range(n_columns)]
+    comments = ["# a,b", "# key = 100%"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        io_formats._write_table(path, comments, columns, digits=digits)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == _per_row_table_text(comments, columns,
+                                          digits).encode("utf-8")
 
 
 def test_manifest_missing_file_rejected(tmp_path):

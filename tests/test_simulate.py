@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import gauss_markov_discrete_law
 from zplkit.errors import ConfigError, DomainError, InsufficientDecayError
 from zplkit.fitting import Spectrum, classify_lineshape
 from zplkit.lineshape import GAUSSIAN_FWHM_FACTOR, grid_fwhm
@@ -153,6 +154,30 @@ def test_mc_slow_modulation_matches_static_limit():
     mask = (trace.t > 0) & (trace.t <= 5.0)
     diff = np.abs(trace.g[mask] - analytic.g[mask])
     assert np.all(diff <= 3.0 * trace.stderr[mask])
+
+
+@pytest.mark.parametrize("sigma, gamma, lam, t_max, dt, n_traj, seed", [
+    (1.0, 0.0, 0.01, 20.0, 0.1, 10000, 42),  # criterion 7's configuration
+    (1.0, 0.5, 0.5, 14.0, 0.02, 3000, 3),  # with homogeneous decay
+    (1.0, 0.0, 10.0, 20.0, 0.01, 4000, 5),  # fast modulation, lam = 10 sigma
+])
+def test_mc_matches_exact_discrete_law(sigma, gamma, lam, t_max, dt, n_traj,
+                                       seed):
+    # the law of the simulated phase itself, with no discretization bias:
+    # the mean within 4 standard errors at every point, and the reported
+    # stderr within 10% of its exact value at every point, 2% in the median
+    config = SimulationConfig(sigma=sigma, gamma=gamma, correlation_rate=lam,
+                              t_max=t_max, dt=dt, n_trajectories=n_traj,
+                              seed=seed)
+    trace = mc_coherence(config)
+    mean, spread = gauss_markov_discrete_law(sigma, gamma, lam, dt,
+                                             config.n_steps)
+    mask = trace.t > 0
+    assert np.all(np.abs(trace.g.real - mean)[mask]
+                  <= 4.0 * trace.stderr[mask])
+    ratio = trace.stderr[mask] / (spread[mask] / np.sqrt(n_traj))
+    assert np.all(np.abs(ratio - 1.0) < 0.10)
+    assert abs(np.median(ratio) - 1.0) < 0.02
 
 
 def test_analytic_coherence_kubo_limits():
