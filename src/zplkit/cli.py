@@ -72,10 +72,10 @@ def _model_block(row):
 
 def _shape(args, fallback=None):
     """The shape flags as make_model keywords, each checked even where the
-    chosen models do not take it; a flag left out takes the attribute of the
-    same name on `fallback` (a manifest), if given."""
+    chosen models do not take it; a flag left out takes its value in
+    `fallback` (a manifest's shape mapping), if given."""
     shape = {name: getattr(args, name) if getattr(args, name) is not None
-             else getattr(fallback, name, None) for name in SHAPE_DEFAULTS}
+             else (fallback or {}).get(name) for name in SHAPE_DEFAULTS}
     for name, value in shape.items():
         if value is not None:
             check_shape(name, value)
@@ -139,7 +139,7 @@ def _write_curves(args, result, t_lo, t_hi):
 
 def cmd_series(args):
     manifest = load_manifest(args.manifest)
-    shape = _shape(args, manifest)
+    shape = _shape(args, manifest.shape)
     result = analyze_series(load_series(manifest), quantity=args.quantity,
                             gaussian_floor=args.fix_fg,
                             weighted=not args.unweighted, **shape)
@@ -259,10 +259,12 @@ def _build_parser():
     def add_shape_flags(p):
         p.add_argument("--theta-d", type=_number, default=None, metavar="K",
                        dest="debye_temperature",
-                       help="Debye temperature (default 600)")
+                       help="Debye temperature (default "
+                            f"{SHAPE_DEFAULTS['debye_temperature']:g})")
         p.add_argument("--phonon-energy", type=_number, default=None,
                        metavar="MEV", dest="phonon_energy",
-                       help="optical phonon energy (default 18)")
+                       help="optical phonon energy (default "
+                            f"{SHAPE_DEFAULTS['phonon_energy']:g})")
 
     def add_model_flags(p):
         add_shape_flags(p)

@@ -71,8 +71,9 @@ def _read_text(path):
 def _load_json(path):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}", exc.lineno)
+    except ValueError as exc:  # also an integer longer than int() converts
+        raise ParseError(f"invalid JSON in {path}: {exc}",
+                         getattr(exc, "lineno", None)) from None
     except RecursionError:
         raise ParseError(f"JSON in {path} is nested too deeply") from None
 
@@ -116,16 +117,16 @@ def _parse_table(lines):
     return comments, np.array((first, second))
 
 
-def _read_table(path):
-    """Parse a two-column comma table: ({key: (value, line_number)} of its
-    `# key = value` comments, its columns as a (2, rows) float array).
+def _read_table(text):
+    """Parse a two-column comma table's text: ({key: (value, line_number)}
+    of its `# key = value` comments, its columns as a (2, rows) float array).
 
     Blank lines are skipped; every other line is a comment or a row of two
     finite numbers, and each defect is a ParseError with its line number.
     numpy parses the rows below the leading comments; the line parser takes
     a body numpy rejects or reads as anything but finite pairs.
     """
-    lines = _read_text(path).split("\n")  # universal newlines: all "\n"
+    lines = text.split("\n")  # read with universal newlines: all "\n"
     header = 0
     while header < len(lines) and lines[header].strip()[:1] in ("", "#"):
         header += 1
@@ -163,7 +164,7 @@ def save_spectrum(spectrum, path):
 
 def load_spectrum(path, temperature=None, emitter_id=None) -> Spectrum:
     """Parse a spectrum file; explicit arguments override header comments."""
-    comments, (energies, intensities) = _read_table(path)
+    comments, (energies, intensities) = _read_table(_read_text(path))
     value, line_number = comments.get("temperature_K", ("0", None))
     try:
         meta_temperature = float(value)
@@ -185,15 +186,22 @@ class ManifestEntry:
     path: str
 
 
+_MANIFEST_KEYS = {"debye_temperature": "theta_D_K",  # shape: manifest key
+                  "phonon_energy": "phonon_energy_meV"}
+
+
 @dataclass(frozen=True)
 class SeriesManifest:
     emitter_id: str
     entries: tuple
-    debye_temperature: float = SHAPE_DEFAULTS["debye_temperature"]
-    phonon_energy: float = SHAPE_DEFAULTS["phonon_energy"]
+    shape: dict | None = None  # {name: value}; missing or None: default
     base_dir: str = "."
 
     def __post_init__(self):
+        given = self.shape or {}
+        object.__setattr__(self, "shape", {
+            name: default if given.get(name) is None else given[name]
+            for name, default in SHAPE_DEFAULTS.items()})
         temps = [e.temperature for e in self.entries]
         if not all(0 < t < math.inf for t in temps):
             raise DomainError("manifest temperatures must be positive "
@@ -211,8 +219,8 @@ def save_manifest(manifest, path):
         "entries": [{"temperature_K": e.temperature, "path": e.path}
                     for e in sorted(manifest.entries,
                                     key=lambda e: e.temperature)],
-        "metadata": {"theta_D_K": manifest.debye_temperature,
-                     "phonon_energy_meV": manifest.phonon_energy},
+        "metadata": {key: manifest.shape[name]
+                     for name, key in _MANIFEST_KEYS.items()},
     }
     _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -226,10 +234,8 @@ def load_manifest(path) -> SeriesManifest:
         manifest = SeriesManifest(
             emitter_id=str(doc.get("emitter_id", "")),
             entries=entries,
-            debye_temperature=float(meta.get(
-                "theta_D_K", SHAPE_DEFAULTS["debye_temperature"])),
-            phonon_energy=float(meta.get(
-                "phonon_energy_meV", SHAPE_DEFAULTS["phonon_energy"])),
+            shape={name: float(meta.get(key, SHAPE_DEFAULTS[name]))
+                   for name, key in _MANIFEST_KEYS.items()},
             base_dir=os.path.dirname(os.path.abspath(path)))
     # a value of the wrong JSON type, or an integer too large for a float
     except (AttributeError, KeyError, TypeError, ValueError,
@@ -285,9 +291,10 @@ def load_linewidths(path, quantity):
     Lorentzian one non-negative: fits of pure Gaussian lines report f_L on
     its bound of zero.
     """
+    text = _read_text(path)
     try:
-        record = load_result_record(path)
-    except ParseError:
+        record = json.loads(text)
+    except (ValueError, RecursionError):  # not JSON: a table
         record = None
     if isinstance(record, dict):
         blocks = record.get("per_temperature")
@@ -306,7 +313,7 @@ def load_linewidths(path, quantity):
         floor = _finite(record.get("gaussian_floor_meV", 0.0),
                         f"gaussian_floor_meV in {path}")
     else:
-        _, columns = _read_table(path)
+        _, columns = _read_table(text)
         points, floor = list(zip(*columns.tolist())), 0.0
     for t, width in points:
         if width < 0 or (quantity == "total" and width == 0):
@@ -375,8 +382,7 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
         emitter_id=emitter_id, base_dir=os.fspath(out_dir),
         entries=tuple(ManifestEntry(t, f"spectrum_{index:02d}_{t:g}K.csv")
                       for index, t in enumerate(temperatures)),
-        **{name: value for name, value in
-           (shape or model.shape_values()).items() if value is not None})
+        shape=shape or model.shape_values())
     t_lo, t_hi = temperatures[0], temperatures[-1]
     span = t_hi - t_lo
     spectra = []

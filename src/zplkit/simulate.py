@@ -11,7 +11,9 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -240,13 +242,13 @@ def mc_coherence(config) -> CoherenceTrace:
     with rho = exp(-correlation_rate*dt); the phase follows by the trapezoid
     rule.  Block b of _BLOCK trajectories draws from an SFC64 stream seeded
     by SeedSequence(entropy=seed, spawn_key=(b,)), _STEP_CHUNK steps at a
-    time.  Blocks are grouped in batches of at most _BATCH_BLOCKS, which
-    run on up to min(usable CPUs, blocks) threads, the caller's among them;
-    block sums are added in block order, so results do not depend on the
-    batching, the chunking or the thread count.  Worker threads run in a
-    copy of the caller's context (numpy's floating-point error state
-    included), and the first exception a worker raises is raised here once
-    every thread has finished.
+    time.  A pool of min(usable CPUs, blocks) threads computes batches of
+    at most _BATCH_BLOCKS blocks, each in a copy of the caller's context
+    (numpy's floating-point error state included), and the caller adds
+    their block sums in block order, so results do not depend on the
+    batching, the chunking or the thread count.  The earliest failing
+    batch in block order stops those still running at their next chunk,
+    and its exception is raised here once every thread has finished.
 
     The zero-mean Gaussian phase is symmetric, so Im g is exactly 0 and only
     Re g = <cos(phase)> is estimated, through u = 1 - cos(phase): g = 1 -
@@ -263,57 +265,22 @@ def mc_coherence(config) -> CoherenceTrace:
     q, r = divmod(n_blocks, n_batches)
     starts = [i * q + min(i, r) for i in range(n_batches + 1)]
     sums = np.zeros((2, n_pts))  # sums of u = 1 - cos(phase) and of u^2
-    # taken and folded count batches; at most `window` batches are taken
-    # and not yet folded, which bounds the sums waiting for a slow batch
-    taken = folded = 0
-    window = 2 * n_workers
-    finished, failures = {}, []
-    turn, stop = threading.Condition(), threading.Event()
-
-    def fail(exc):
-        with turn:
-            failures.append(exc)
-            stop.set()
-            turn.notify_all()
-
-    def work():
-        nonlocal taken, folded
+    stop = threading.Event()
+    from concurrent.futures import ThreadPoolExecutor  # costly at CLI start
+    with ThreadPoolExecutor(n_workers) as pool:
+        # submitted as others are folded: at most 2 * n_workers batches
+        # (and their sums) wait behind a slow one
+        batches = (pool.submit(contextvars.copy_context().run, _batch_sums,
+                               config, range(a, b), stop)
+                   for a, b in zip(starts, starts[1:]))
         try:
-            while True:
-                with turn:
-                    turn.wait_for(lambda: stop.is_set() or taken == n_batches
-                                  or taken < folded + window)
-                    if stop.is_set() or taken == n_batches:
-                        return
-                    i, taken = taken, taken + 1
-                block_sums = _batch_sums(
-                    config, range(starts[i], starts[i + 1]), stop)
-                if block_sums is None:
-                    return
-                with turn:  # add every batch whose predecessors are in
-                    finished[i] = block_sums
-                    while folded in finished:
-                        for column in np.moveaxis(finished.pop(folded), -1, 0):
-                            np.add(sums, column, out=sums)
-                        folded += 1
-                    turn.notify_all()
-        except BaseException as exc:  # raised again by the caller
-            fail(exc)
-
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work,)) for _ in range(n_workers - 1)]
-    try:
-        for thread in threads:
-            thread.start()
-        work()
-    except BaseException as exc:  # a thread that could not start
-        fail(exc)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if failures:
-        raise failures[0]
+            pending = deque(islice(batches, 2 * n_workers))
+            while pending:
+                for column in np.moveaxis(pending.popleft().result(), -1, 0):
+                    np.add(sums, column, out=sums)
+                pending.extend(islice(batches, 1))
+        finally:  # a batch still running returns at its next chunk
+            stop.set()
 
     mean_u, mean_u2 = sums[0] / n_traj, sums[1] / n_traj
     damp = np.exp(-config.gamma * config.t_grid)

@@ -188,14 +188,8 @@ def test_simulate_single_trajectory(tmp_path):
 def test_simulate_worker_overflow_is_one_parse_line(tmp_path, monkeypatch):
     # a worker thread keeps main's floating-point error state: its overflow
     # is the one parse line, and nothing is written
-    real = simulate._batch_sums
-    taken = threading.Event()
-
     def batch_sums(config, blocks, stop):
-        if threading.current_thread() is threading.main_thread():
-            assert taken.wait(10)  # the worker thread takes a batch first
-            return real(config, blocks, stop)
-        taken.set()
+        assert threading.current_thread() is not threading.main_thread()
         return np.float64(1e300) * np.float64(1e300)
 
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
@@ -416,6 +410,25 @@ def test_compare_any_input_exits_cleanly(content, quantity, fix_fg):
         if fix_fg is not None:
             argv += ["--fix-fg", fix_fg]
         assert _exit_code(argv) in (0, 1, 2)
+
+
+def test_json_integer_too_long_is_one_parse_line(tmp_path):
+    # json.loads refuses integers past int()'s digit limit with a plain
+    # ValueError: compare reads such a file as a table, series as a
+    # malformed manifest
+    digits = "1" * 5000
+    table = tmp_path / "widths.txt"
+    table.write_text(digits)
+    manifest = tmp_path / "series.json"
+    manifest.write_text('{"entries": [], "metadata": {"theta_D_K": '
+                        + digits + '}}')
+    code, _, err = _run_in_process(["compare", str(table), "--quiet"])
+    assert (code, err) == (1, "error: parse: line 1: expected 2 "
+                              "comma-separated fields, got 1\n")
+    code, _, err = _run_in_process(["series", str(manifest), "--quiet"])
+    assert code == 1
+    assert err.startswith(f"error: parse: invalid JSON in {manifest}: ")
+    assert len(err.splitlines()) == 1
 
 
 # any finite flag value, huge ones included, and often a plausible one;

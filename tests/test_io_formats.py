@@ -81,12 +81,13 @@ def test_manifest_round_trip_and_validation(tmp_path):
     save_spectrum(spec, tmp_path / "s1.csv")
     manifest = SeriesManifest(emitter_id="X1",
                               entries=(ManifestEntry(10.0, "s1.csv"),),
-                              debye_temperature=600.0, phonon_energy=18.0,
+                              shape={"debye_temperature": 600.0,
+                                     "phonon_energy": 18.0},
                               base_dir=str(tmp_path))
     save_manifest(manifest, tmp_path / "m.json")
     loaded = load_manifest(tmp_path / "m.json")
     assert loaded.emitter_id == "X1"
-    assert loaded.debye_temperature == 600.0
+    assert loaded.shape["debye_temperature"] == 600.0
     assert loaded.entries[0].temperature == 10.0
     series = load_series(loaded)
     assert series[0][1].temperature == 10.0
@@ -218,7 +219,8 @@ def test_fast_table_reader_matches_line_parser(text):
         path = os.path.join(tmp, "table.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        fast = _table_outcome(io_formats._read_table, path)
+        fast = _table_outcome(lambda p: io_formats._read_table(
+            io_formats._read_text(p)), path)
         slow = _table_outcome(lambda p: io_formats._parse_table(
             io_formats._read_text(p).split("\n")), path)
     assert fast == slow
@@ -307,8 +309,8 @@ def test_generate_synthetic_series_default_grid(tmp_path):
     assert len(manifest.entries) == 14  # 10 K .. 270 K in 20 K steps
     temps = [e.temperature for e in manifest.entries]
     assert temps == [float(t) for t in range(10, 271, 20)]
-    assert manifest.debye_temperature == 600.0
-    assert manifest.phonon_energy == 18.0
+    assert manifest.shape == {"debye_temperature": 600.0,
+                              "phonon_energy": 18.0}
 
 
 def test_generate_noiseless_round_trip(tmp_path):

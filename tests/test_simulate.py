@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import sys
 import threading
 
@@ -197,6 +199,26 @@ def test_analytic_coherence_kubo_limits():
         analytic_coherence(1.0, 0.0, t, correlation_rate=-1.0)
 
 
+def test_mc_seed_sweep_exceedances_are_gaussian():
+    # one late time, many seeds: against the exact discrete law, z exceeds
+    # 2 in magnitude at a rate inside the binomial 99.9% band around the
+    # Gaussian 4.55%, and the mean z lies within 4/sqrt(n) of 0
+    n_seeds, late = 200, 40
+    config = _config(correlation_rate=0.5, n_trajectories=400)
+    mean, spread = gauss_markov_discrete_law(
+        config.sigma, config.gamma, config.correlation_rate, config.dt,
+        config.n_steps)
+    g = np.array([mc_coherence(dataclasses.replace(config, seed=seed)).g[late]
+                  for seed in range(n_seeds)]).real
+    z = (g - mean[late]) / (spread[late] / np.sqrt(config.n_trajectories))
+    p = math.erfc(2.0 / math.sqrt(2.0))
+    cdf = np.cumsum([math.comb(n_seeds, k) * p ** k * (1 - p) ** (n_seeds - k)
+                     for k in range(n_seeds + 1)])
+    low, high = np.searchsorted(cdf, [0.0005, 0.9995])
+    assert low <= np.count_nonzero(np.abs(z) > 2.0) <= high
+    assert abs(z.mean()) < 4.0 / np.sqrt(n_seeds)
+
+
 def test_mc_fast_modulation_motional_narrowing():
     # correlation rate 10x the modulation strength, well into motional
     # narrowing; every point within 3 standard errors of the exact form
@@ -236,25 +258,60 @@ def test_mc_independent_of_batching(monkeypatch):
 
 
 def test_mc_worker_failure_reaches_caller(monkeypatch):
-    # the second batch fails on whichever thread takes it; every thread is
-    # joined before the failure reaches the caller
+    # the first batch fails; the real _batch_sums of a batch still running
+    # is stopped, and every thread is joined before the failure reaches the
+    # caller
     from zplkit import simulate
     real = simulate._batch_sums
+    results = []
 
     def failing(config, blocks, stop):
-        if blocks.start > 0:
-            raise KeyError("second batch")
-        return real(config, blocks, stop)
+        if blocks.start == 0:
+            raise KeyError("first batch")
+        assert stop.wait(10)  # still running when the caller meets batch 0
+        results.append(real(config, blocks, stop))
+        return results[-1]
 
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(simulate, "_batch_sums", failing)
     before = threading.active_count()
-    with pytest.raises(KeyError, match="second batch"):
+    with pytest.raises(KeyError, match="first batch"):
         mc_coherence(_config(n_trajectories=2 * simulate._BLOCK + 37))
     assert threading.active_count() == before
+    assert results == [None]
 
 
-def test_mc_starts_at_most_one_thread_per_spare_cpu(monkeypatch):
+def test_mc_folds_at_most_two_batches_per_worker_ahead(monkeypatch):
+    # batch 0 is held back: at most 2 * workers - 1 later batches start
+    # before it is released, which bounds the sums waiting to be folded
+    from zplkit import simulate
+    n_workers = 2
+    bound = 2 * n_workers - 1
+    later, seen = [], []
+    held, overrun = threading.Event(), threading.Event()
+
+    def batch_sums(config, blocks, stop):
+        if blocks.start == 0:
+            held.wait(10)
+            overrun.wait(0.2)  # time for a batch past the bound to start
+            seen.append(len(later))
+        else:
+            later.append(blocks.start)
+            if len(later) == bound:
+                held.set()
+            if len(later) > bound:
+                overrun.set()
+        return np.zeros((2, config.n_steps + 1, len(blocks)))
+
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: n_workers)
+    monkeypatch.setattr(simulate, "_BATCH_BLOCKS", 1)
+    monkeypatch.setattr(simulate, "_batch_sums", batch_sums)
+    mc_coherence(_config(n_trajectories=12 * simulate._BLOCK))
+    assert seen == [bound]
+    assert sorted(later) == list(range(1, 12))
+
+
+def test_mc_starts_at_most_one_worker_thread_per_usable_cpu(monkeypatch):
     from zplkit import simulate
     started = []
     real_start = threading.Thread.start
@@ -268,18 +325,30 @@ def test_mc_starts_at_most_one_thread_per_spare_cpu(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start)
     mc_coherence(_config(n_trajectories=simulate._BLOCK))
-    assert started == []  # one block: the caller runs it
+    assert len(started) == 1  # one block: one worker thread
     monkeypatch.setattr(simulate, "_batch_sums", batch_sums)
     readme = SimulationConfig(sigma=0.46, gamma=5.2, correlation_rate=0.005,
                               t_max=3.6, dt=0.002, n_trajectories=10000,
                               seed=3)
+    started.clear()
     mc_coherence(readme)
-    assert len(started) <= simulate._usable_cpus() - 1
+    assert 1 <= len(started) <= simulate._usable_cpus()
     for cpus in (1, 3):
+        # the first `cpus` batches wait for each other, so no thread is
+        # idle until the pool has started all of its threads
+        barrier = threading.Barrier(cpus, timeout=10)
+        calls = itertools.count()
+
+        def gathered(config, blocks, stop):
+            if next(calls) < cpus:
+                barrier.wait()
+            return batch_sums(config, blocks, stop)
+
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate, "_batch_sums", gathered)
         started.clear()
         mc_coherence(_config(n_trajectories=10 ** 6))
-        assert len(started) == cpus - 1
+        assert len(started) == cpus
 
 
 def test_mc_determinism_and_stderr_scaling():
