@@ -12,7 +12,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FitError, ParseError, ZplkitError
-from .fitting import analyze_series, classify_lineshape, compare_models, fit_voigt
+from .fitting import (analyze_series, classify_lineshape, compare_models,
+                      fit_voigt, lorentzian_parts)
 from .io_formats import (_finite, _synthetic_grid_steps, _write_table,
                          generate_synthetic_series, load_linewidths,
                          load_manifest, load_series, load_spectrum,
@@ -130,10 +131,9 @@ def _write_curves(args, result, t_lo, t_hi):
     grid = np.arange(max(1.0, math.floor(t_lo)), math.ceil(t_hi) + 0.5, 1.0)
     for row in result.comparisons:
         path = os.path.join(args.curves_dir, f"curve_{row.kind}.csv")
-        f_l = [row.model.lorentzian_fwhm(t) for t in grid]
-        total = [voigt_fwhm(result.gaussian_floor, f) for f in f_l]
+        f_l = np.array([row.model.lorentzian_fwhm(t) for t in grid])
         _write_table(path, ["# temperature_K,lorentzian_fwhm_meV,total_fwhm_meV"],
-                     (grid, f_l, total))
+                     (grid, f_l, voigt_fwhm(result.gaussian_floor, f_l)))
         _say(args, f"wrote {path}")
 
 
@@ -179,10 +179,11 @@ def _number(text):
 
 def cmd_compare(args):
     points, record_floor = load_linewidths(args.input, args.quantity)
-    floor = args.fix_fg if args.fix_fg is not None else record_floor
+    floor = args.fix_fg if args.fix_fg is not None else (record_floor or 0.0)
+    if record_floor is not None and args.quantity == "lorentzian":
+        points = lorentzian_parts(points, floor)  # a record holds totals
     rows = compare_models(points, kinds=args.models, quantity=args.quantity,
-                          gaussian_floor=floor if args.quantity == "total" else 0.0,
-                          **_shape(args))
+                          gaussian_floor=floor, **_shape(args))
     _print_comparison(args, rows)
     if args.output:
         write_result_record({

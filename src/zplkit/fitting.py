@@ -12,17 +12,17 @@ import numpy as np
 from . import physics
 from .errors import (DomainError, InsufficientDataError, NoPeakError,
                      NotConvergedError)
-from .lineshape import (_FWHM_CL, _FWHM_CQ, GAUSSIAN_FWHM_FACTOR,
-                        VoigtParams, gamma_from_fwhm, grid_fwhm,
-                        invert_voigt_fwhm, sigma_from_fwhm, voigt_fwhm,
-                        voigt_profile, voigt_value_and_derivatives)
+from .lineshape import (GAUSSIAN_FWHM_FACTOR, VoigtParams, gamma_from_fwhm,
+                        grid_fwhm, invert_voigt_fwhm, sigma_from_fwhm,
+                        voigt_fwhm, voigt_fwhm_partials, voigt_profile,
+                        voigt_value_and_derivatives)
 from .optimize import least_squares
 
 __all__ = [
     "Spectrum", "VoigtFit", "LineshapeClassification", "SeriesModelFit",
     "ModelComparison", "SeriesFitResult",
     "fit_voigt", "classify_lineshape", "extract_components",
-    "fit_series", "compare_models", "analyze_series",
+    "lorentzian_parts", "fit_series", "compare_models", "analyze_series",
     "build_voigt_problem", "build_series_problem",
 ]
 
@@ -100,16 +100,9 @@ class SeriesModelFit:
 
 
 @dataclass(frozen=True)
-class ModelComparison:
-    model: physics.DephasingModel
-    rss: float
-    n_free: int
+class ModelComparison(SeriesModelFit):
     aic: float
     delta_aic: float
-
-    @property
-    def kind(self):
-        return self.model.kind
 
 
 @dataclass(frozen=True)
@@ -339,28 +332,19 @@ def extract_components(fits: Sequence[tuple]):
         raise InsufficientDataError(
             "no fit constrains the Gaussian component")
     floor = float((weights * fg).sum() / weights.sum())
-    return floor, _lorentzian_parts(ordered, floor)
+    return floor, lorentzian_parts(zip(temps, totals), floor)
 
 
-def _lorentzian_parts(fits, floor):
-    """(T, f_L) pairs of (T, VoigtFit) pairs under a shared Gaussian floor."""
-    return [(t, invert_voigt_fwhm(max(f.total_fwhm, floor), floor))
-            for t, f in fits]
+def lorentzian_parts(totals, floor):
+    """(T, f_L) pairs of (T, total FWHM) pairs under a shared Gaussian floor;
+    a total below the floor has no Lorentzian part."""
+    return [(t, invert_voigt_fwhm(max(total, floor), floor))
+            for t, total in totals]
 
 
 # ---------------------------------------------------------------------------
 # temperature-series model fits
 # ---------------------------------------------------------------------------
-
-def _fwhm_partials(f_l, f_g):
-    """d(total)/d(f_L) and d(total)/d(f_G) of the FWHM combination."""
-    root = np.sqrt(_FWHM_CQ * f_l ** 2 + f_g ** 2)
-    safe = np.where(root > 0, root, 1.0)
-    d_fl = np.where(root > 0, _FWHM_CL + _FWHM_CQ * f_l / safe,
-                    _FWHM_CL + math.sqrt(_FWHM_CQ))
-    d_fg = np.where(root > 0, f_g / safe, 1.0)
-    return d_fl, d_fg
-
 
 def build_series_problem(temperatures, values, kind, *, quantity="total",
                          gaussian_floor=0.0, fit_floor=False, **shape):
@@ -383,16 +367,13 @@ def build_series_problem(temperatures, values, kind, *, quantity="total",
     def residual(p):
         amplitude, floor = unpack(p)
         f_l = amplitude * basis
-        if quantity == "total":
-            return _FWHM_CL * f_l + np.sqrt(
-                _FWHM_CQ * f_l ** 2 + floor ** 2) - y
-        return f_l - y
+        return (voigt_fwhm(floor, f_l) if quantity == "total" else f_l) - y
 
     def jacobian(p):
         amplitude, floor = unpack(p)
         f_l = amplitude * basis
         if quantity == "total":
-            d_fl, d_fg = _fwhm_partials(f_l, floor)
+            d_fg, d_fl = voigt_fwhm_partials(floor, f_l)
         else:
             d_fl, d_fg = np.ones_like(f_l), np.zeros_like(f_l)
         columns = [d_fl * basis]
@@ -470,13 +451,10 @@ def compare_models(points, kinds=physics.MODEL_KINDS, **fit_kwargs):
                if fit.rss > 0 else -math.inf)
         rows.append((aic, fit.n_free, index, fit))
     rows.sort(key=lambda row: row[:3])
-    best_aic = rows[0][0]
-    out = []
-    for aic, n_free, _, fit in rows:
-        delta = 0.0 if aic == best_aic else aic - best_aic
-        out.append(ModelComparison(model=fit.model, rss=fit.rss,
-                                   n_free=n_free, aic=aic, delta_aic=delta))
-    return out
+    best = rows[0][0]
+    return [ModelComparison(**vars(fit), aic=aic,
+                            delta_aic=0.0 if aic == best else aic - best)
+            for aic, _, _, fit in rows]
 
 
 def analyze_series(series, *, quantity="total", gaussian_floor=None,
@@ -488,16 +466,15 @@ def analyze_series(series, *, quantity="total", gaussian_floor=None,
     `gaussian_floor` to override the estimated shared floor; `shape` goes
     to every model fit, as in fit_series.
     """
+    if quantity not in ("total", "lorentzian"):
+        raise DomainError(f"unknown quantity {quantity!r}")
     ordered = sorted(series, key=lambda ts: ts[0])
     fits = tuple((t, fit_voigt(s, weighted=weighted)) for t, s in ordered)
     floor_est, _ = extract_components(fits)
     floor = floor_est if gaussian_floor is None else float(gaussian_floor)
-    if quantity == "total":
-        points = [(t, f.total_fwhm) for t, f in fits]
-    elif quantity == "lorentzian":
-        points = _lorentzian_parts(fits, floor)
-    else:
-        raise DomainError(f"unknown quantity {quantity!r}")
+    points = [(t, f.total_fwhm) for t, f in fits]
+    if quantity == "lorentzian":
+        points = lorentzian_parts(points, floor)
     comparisons = tuple(compare_models(
         points, quantity=quantity, gaussian_floor=floor, **shape))
     return SeriesFitResult(per_temperature=fits, comparisons=comparisons,

@@ -283,10 +283,11 @@ def load_result_record(path):
 
 
 def load_linewidths(path, quantity):
-    """(T, linewidth) pairs and the Gaussian floor from a result record,
-    or from a `temperature_K,linewidth_meV` table (floor 0).
+    """(T, linewidth) pairs and a Gaussian floor: a result record's total
+    FWHMs and its floor, or the values of a `temperature_K,linewidth_meV`
+    table as they are and None; `quantity` ("total" or "lorentzian") names
+    what a table holds.
 
-    `quantity` ("total" or "lorentzian") picks a record's linewidth key.
     Every value must be a finite number, a total linewidth positive and a
     Lorentzian one non-negative: fits of pure Gaussian lines report f_L on
     its bound of zero.
@@ -300,7 +301,7 @@ def load_linewidths(path, quantity):
         blocks = record.get("per_temperature")
         if not isinstance(blocks, list):
             raise ParseError(f"record {path} carries no per-temperature fits")
-        key = f"{quantity}_fwhm_meV"
+        quantity, key = "total", "total_fwhm_meV"
         points = []
         for i, block in enumerate(blocks):
             if not (isinstance(block, dict) and "temperature_K" in block
@@ -314,7 +315,7 @@ def load_linewidths(path, quantity):
                         f"gaussian_floor_meV in {path}")
     else:
         _, columns = _read_table(text)
-        points, floor = list(zip(*columns.tolist())), 0.0
+        points, floor = list(zip(*columns.tolist())), None
     for t, width in points:
         if width < 0 or (quantity == "total" and width == 0):
             raise ParseError(f"invalid {quantity} linewidth {width!r} at "

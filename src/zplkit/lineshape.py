@@ -7,6 +7,7 @@ normalization is used because area is what broadening conserves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,8 @@ __all__ = [
     "GAUSSIAN_FWHM_FACTOR", "VoigtParams",
     "gaussian_profile", "lorentzian_profile", "voigt_profile",
     "voigt_value_and_derivatives", "voigt_direct_convolution",
-    "voigt_fwhm", "invert_voigt_fwhm", "measure_fwhm", "grid_fwhm",
-    "sigma_from_fwhm", "gamma_from_fwhm",
+    "voigt_fwhm", "voigt_fwhm_partials", "invert_voigt_fwhm", "measure_fwhm",
+    "grid_fwhm", "sigma_from_fwhm", "gamma_from_fwhm",
 ]
 
 GAUSSIAN_FWHM_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))  # fwhm = factor * sigma
@@ -117,11 +118,29 @@ def voigt_value_and_derivatives(x, sigma, gamma,
 
 
 def voigt_fwhm(gaussian_fwhm, lorentzian_fwhm):
-    """Total Voigt FWHM from its Gaussian and Lorentzian component FWHMs."""
-    if gaussian_fwhm < 0 or lorentzian_fwhm < 0:
+    """Total Voigt FWHM from its Gaussian and Lorentzian component FWHMs,
+    floats or arrays; an array gives each element's scalar result."""
+    # fmin passes over a NaN, so a negative width beside one still fails
+    if (np.fmin(gaussian_fwhm, lorentzian_fwhm) < 0).any():
         raise DomainError("FWHM inputs must be non-negative")
-    return _FWHM_CL * lorentzian_fwhm + np.sqrt(
-        _FWHM_CQ * lorentzian_fwhm ** 2 + gaussian_fwhm ** 2)
+    return _FWHM_CL * lorentzian_fwhm + _hypot(gaussian_fwhm, lorentzian_fwhm)
+
+
+def _hypot(f_g, f_l):
+    # squares as products, so a float and an array element give one result:
+    # a float's `** 2` calls libm pow, which misrounds about 1 in 1,000
+    return np.sqrt(_FWHM_CQ * (f_l * f_l) + f_g * f_g)
+
+
+def voigt_fwhm_partials(gaussian_fwhm, lorentzian_fwhm):
+    """(d total/d gaussian_fwhm, d total/d lorentzian_fwhm) of voigt_fwhm,
+    with the one-sided limits along each axis where both widths are 0."""
+    root = _hypot(gaussian_fwhm, lorentzian_fwhm)
+    safe = np.where(root > 0, root, 1.0)
+    d_fg = np.where(root > 0, gaussian_fwhm / safe, 1.0)
+    d_fl = np.where(root > 0, _FWHM_CL + _FWHM_CQ * lorentzian_fwhm / safe,
+                    _FWHM_CL + math.sqrt(_FWHM_CQ))
+    return d_fg, d_fl
 
 
 def invert_voigt_fwhm(total_fwhm, gaussian_fwhm):

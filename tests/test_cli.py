@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import zplkit
 from oracles import synthetic_voigt_spectrum
 from zplkit import cli, fitting, simulate
 from zplkit.cli import main
@@ -141,6 +143,43 @@ def test_compare_command_on_record_and_table(synth_dir, tmp_path):
     assert record["per_temperature"][0]["lorentzian_fwhm_meV"] == 0.0
     result = run_cli("compare", str(record_path), "--quantity", "lorentzian")
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("fix_fg", [[], ["--fix-fg", "0.5"]])
+def test_compare_on_a_record_ranks_what_series_ranked(synth_dir, tmp_path,
+                                                      fix_fg):
+    # compare splits the record's totals under the floor series split them
+    # under, so it ranks the same Lorentzian parts, to the record's digits
+    ranked, reranked = tmp_path / "series.json", tmp_path / "compare.json"
+    for argv in (["series", str(synth_dir / "series" / "series.json")],
+                 ["compare", str(ranked)]):
+        code, _, err = _run_in_process(argv + [
+            "--quantity", "lorentzian", "--quiet", *fix_fg,
+            "--output", str(reranked if argv[0] == "compare" else ranked)])
+        assert code == 0, err
+    expected = json.loads(ranked.read_text())["models"]
+    models = json.loads(reranked.read_text())["models"]
+    assert [m["kind"] for m in models] == [m["kind"] for m in expected]
+    for model, want in zip(models, expected):
+        params, want_params = model["params"], want["params"]
+        assert params["gaussian_floor_meV"] == want_params["gaussian_floor_meV"]
+        assert params["amplitude"] == pytest.approx(want_params["amplitude"],
+                                                    rel=1e-9)
+        assert model["rss"] == pytest.approx(want["rss"], rel=1e-9)
+
+
+def test_readme_names_resolve_on_the_package():
+    # every `z.<name>` and `zplkit.<name>` the README shows exists
+    with open(os.path.join(os.path.dirname(SRC), "README.md"),
+              encoding="utf-8") as fh:
+        names = set(re.findall(r"\b(?:z|zplkit)((?:\.[A-Za-z_]\w*)+)",
+                               fh.read()))
+    assert names
+    for dotted in sorted(names):
+        obj = zplkit
+        for name in dotted[1:].split("."):
+            assert hasattr(obj, name), f"README names zplkit{dotted}"
+            obj = getattr(obj, name)
 
 
 def test_simulate_command_deterministic(tmp_path):

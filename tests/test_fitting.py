@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import synthetic_voigt_spectrum
+from zplkit import fitting
 from zplkit.errors import (DomainError, InsufficientDataError, NoPeakError)
 from zplkit.fitting import (Spectrum, analyze_series, classify_lineshape,
                             compare_models, extract_components, fit_series,
-                            fit_voigt)
+                            fit_voigt, lorentzian_parts)
 from zplkit.io_formats import (generate_synthetic_series, load_manifest,
                                load_series)
 from zplkit.physics import AcousticDebye, CubicLaw
@@ -282,6 +283,8 @@ def test_compare_models_single_candidate():
                           gaussian_floor=0.72)
     assert len(rows) == 1
     assert rows[0].delta_aic == 0.0
+    with pytest.raises(InsufficientDataError):
+        compare_models(points, kinds=())
 
 
 def test_compare_models_exact_zero_rss_ties():
@@ -334,3 +337,37 @@ def test_analyze_series_end_to_end_noiseless():
     assert result.gaussian_floor == pytest.approx(0.72, rel=1e-5)
     acoustic = [c for c in result.comparisons if c.kind == "acoustic_debye"][0]
     assert acoustic.model.amplitude == pytest.approx(6.82, rel=1e-4)
+
+
+def _paper_spectra():
+    model = AcousticDebye(6.82, 600.0)
+    return [(t, synthetic_voigt_spectrum(
+        1820.0, 0.72, model.lorentzian_fwhm(t), temperature=t,
+        peak_snr=30.0, seed=400 + index)[0])
+        for index, t in enumerate(SERIES_GRID)]
+
+
+def test_analyze_series_bare_components_are_the_shared_floor_split():
+    # the ranking of the Lorentzian parts is compare_models on the fits'
+    # totals split under the shared floor, which every model carries
+    result = analyze_series(_paper_spectra(), quantity="lorentzian")
+    floor = result.gaussian_floor
+    totals = [(t, f.total_fwhm) for t, f in result.per_temperature]
+    rows = compare_models(lorentzian_parts(totals, floor),
+                          quantity="lorentzian", gaussian_floor=floor)
+    assert list(result.comparisons) == rows
+    assert all(row.model.gaussian_floor == floor for row in rows)
+    assert rows[0].kind == "acoustic_debye"
+
+
+def test_analyze_series_checks_quantity_before_fitting(monkeypatch):
+    calls = []
+
+    def counting_fit_voigt(*args, **kwargs):
+        calls.append(args)
+        return fit_voigt(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "fit_voigt", counting_fit_voigt)
+    with pytest.raises(DomainError, match="unknown quantity"):
+        analyze_series(_paper_spectra(), quantity="gaussian")
+    assert calls == []

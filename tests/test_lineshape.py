@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zplkit.errors import DomainError, NonUnimodalError
 from zplkit.lineshape import (GAUSSIAN_FWHM_FACTOR, VoigtParams,
                               gaussian_profile, grid_fwhm, invert_voigt_fwhm,
                               lorentzian_profile, measure_fwhm,
                               sigma_from_fwhm, voigt_direct_convolution,
-                              voigt_fwhm, voigt_profile,
+                              voigt_fwhm, voigt_fwhm_partials, voigt_profile,
                               voigt_value_and_derivatives)
 
 
@@ -87,6 +88,53 @@ def test_voigt_fwhm_anchors():
     assert voigt_fwhm(0.72, 6.82) == pytest.approx(6.900658749903899, abs=1e-12)
     with pytest.raises(DomainError):
         voigt_fwhm(-0.1, 1.0)
+    with pytest.raises(DomainError):  # a NaN does not hide a negative width
+        voigt_fwhm(np.array([0.5, -0.1]), np.array([math.nan, math.nan]))
+
+
+_WIDTH = st.floats(min_value=0.0, max_value=1e150)  # subnormals included
+_EDGES = [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324), (1e-310, 2.5e-320),
+          (1e-150, 1e150), (1e150, 1e-150), (1e150, 1e150)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_WIDTH, _WIDTH), min_size=1, max_size=8))
+@example(_EDGES)
+@example([(0.72, 0.1 * k + 0.1 / 3.0) for k in range(8)])
+@example([(2.759, 4.536)])  # squares glibc's pow(x, 2) misrounds
+def test_voigt_fwhm_on_arrays_is_the_scalar_call_per_element(pairs):
+    f_g, f_l = (np.array(column) for column in zip(*pairs))
+    expected = [voigt_fwhm(g, l) for g, l in pairs]
+    assert voigt_fwhm(f_g, f_l).tolist() == expected
+    # a scalar floor under an array of Lorentzian parts, as a series fit has
+    floor = pairs[0][0]
+    assert voigt_fwhm(floor, f_l).tolist() == [voigt_fwhm(floor, l)
+                                              for l in f_l.tolist()]
+    with pytest.raises(DomainError):
+        voigt_fwhm(f_g, -f_l - 1.0)
+
+
+def test_voigt_fwhm_partials_match_central_differences():
+    rng = np.random.default_rng(8)
+    f_g = 10.0 ** rng.uniform(-2, 2, 200)
+    f_l = 10.0 ** rng.uniform(-2, 2, 200)
+    f_g[:3], f_l[3:6] = 0.0, 0.0  # on one axis, away from the origin
+    d_fg, d_fl = voigt_fwhm_partials(f_g, f_l)
+    h_g, h_l = 1e-5 * f_g, 1e-5 * f_l
+    g, l = f_g > 0, f_l > 0  # a zero width has no two-sided difference
+    num_fg = ((voigt_fwhm(f_g + h_g, f_l) - voigt_fwhm(f_g - h_g, f_l))[g]
+              / (2.0 * h_g[g]))
+    num_fl = ((voigt_fwhm(f_g, f_l + h_l) - voigt_fwhm(f_g, f_l - h_l))[l]
+              / (2.0 * h_l[l]))
+    assert np.allclose(d_fg[g], num_fg, rtol=1e-6, atol=1e-6)
+    assert np.allclose(d_fl[l], num_fl, rtol=1e-6, atol=1e-6)
+    assert d_fg[:3].tolist() == [0.0] * 3  # the total is even in f_G
+    assert d_fl[3:6].tolist() == [0.5346] * 3
+    # at the origin: the limits along each axis, as series Jacobians take them
+    assert voigt_fwhm_partials(0.0, 0.0) == (1.0, 0.5346 + math.sqrt(0.2166))
+    d_fg, d_fl = voigt_fwhm_partials(np.array([0.0, 0.3]), np.zeros(2))
+    assert d_fg.tolist() == [1.0, 1.0]
+    assert d_fl.tolist() == [0.5346 + math.sqrt(0.2166), 0.5346]
 
 
 def test_invert_voigt_fwhm():

@@ -220,7 +220,8 @@ def test_make_model_kinds(tmp_path):
         *_, basis = build_series_problem(temps, temps, kind)
         assert basis.tolist() == [unit.lorentzian_fwhm(t) for t in temps]
         row = ModelComparison(model=make_model(kind, 2.0, gaussian_floor=0.5),
-                              rss=1.0, n_free=1, aic=0.0, delta_aic=0.0)
+                              rss=1.0, n_free=1, n_iterations=1, aic=0.0,
+                              delta_aic=0.0)
         block = _model_block(row)
         assert block["kind"] == row.kind == kind
         assert set(block["params"]) == (
