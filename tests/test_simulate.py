@@ -3,9 +3,12 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import gauss_markov_discrete_law
 from zplkit.errors import ConfigError, DomainError, InsufficientDecayError
@@ -42,6 +45,17 @@ def test_config_validation():
     for t_max in (1e5 + 1.0, np.inf, np.nan):  # more steps than the bound
         with pytest.raises(ConfigError):
             _config(t_max=t_max)
+
+
+def test_config_rejects_non_integer_counts():
+    for bad in (dict(n_trajectories=100.5), dict(n_trajectories=100.0),
+                dict(seed=1.5), dict(seed="3")):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            _config(**bad)
+    for seed in (np.int64(5), np.uint64(2 ** 63)):  # numpy integers stay
+        config = _config(n_trajectories=np.int64(300), seed=seed)
+        assert (config.n_trajectories, config.seed) == (300, int(seed))
+        assert type(config.n_trajectories) is type(config.seed) is int
 
 
 def test_analytic_coherence_shapes():
@@ -97,6 +111,63 @@ def test_mc_sigma_zero_is_exact():
     assert np.all(trace.stderr == 0.0)
 
 
+def _documented_u(phase):
+    # u = 1 - cos(phase) = 2 sin^2(phase/2): phase reduced mod 2 pi in
+    # float64, in turns; the sine of pi times the reduced turns in float32
+    turns = phase / (2.0 * np.pi)
+    half = (np.pi * (turns - np.rint(turns))).astype(np.float32)
+    return 2.0 * np.sin(half).astype(np.float64) ** 2
+
+
+_SUBNORMAL = 5e-324
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=64))
+@example([0.0, _SUBNORMAL, -_SUBNORMAL, 2.2e-308, -1e-300])
+@example([k * np.pi for k in (10 ** 6, 10 ** 6 + 1, 3183098, 3183097,
+                              -3183098, 2 ** 21, 2 ** 21 + 1)])
+@example([np.nextafter(k * np.pi, np.inf) for k in (3183098, 3183097)])
+def test_half_angle_observable_error_bound(phases):
+    # u = 1 - cos(phase) from the float32 half-angle sine, against the
+    # float64 oracle, within 5e-7 relative plus the reduction's 2^-50*|phase|
+    from zplkit import simulate
+    phase = np.array(phases)
+    out, scratch = np.empty(phase.size, np.float32), np.empty(phase.size)
+    s = simulate._half_angle_sine(phase.copy(), out, scratch)
+    u = 2.0 * s.astype(np.float64) ** 2
+    ref = 2.0 * np.sin(phase / 2.0) ** 2
+    assert np.all(np.abs(u - ref) <= 5e-7 * u + 2.0 ** -50 * np.abs(phase))
+
+
+def test_chunk_matrix_is_the_recurrence():
+    # the chunk matrix against the plain trapezoid/AR(1) recurrence, to
+    # 1e-14 of the sum of the magnitudes of each result's terms
+    from zplkit import simulate
+    rng = np.random.default_rng(7)
+    cases = [(1.0, 0.0, 16), (1.0, 0.0, 1)]  # lam = 0: rho = 1, no kick
+    cases += [(rng.uniform(0.5, 1.0), rng.uniform(0.0, 0.2),
+               int(rng.integers(1, 40))) for _ in range(20)]
+    for rho, kick, steps in cases:
+        matrix = simulate._chunk_matrix(steps, rho, kick)
+        assert matrix.shape == (steps + 1, steps + 2)
+        x = rng.normal(size=(steps + 2, 50))
+        x[0] *= 30.0  # a phase carry well past one turn
+        phase, field = x[0].copy(), x[1].copy()
+        want = []
+        for xi in x[2:]:
+            step = phase + field
+            field = rho * field + kick * xi
+            phase = step + field
+            want.append(phase)
+        want = np.array(want + [field])
+        scale = np.abs(matrix) @ np.abs(x)
+        assert np.all(np.abs(matrix @ x - want) <= 1e-14 * scale)
+    rho, kick = 0.9, 0.3  # one step is exactly the recurrence's coefficients
+    assert np.array_equal(simulate._chunk_matrix(1, rho, kick),
+                          [[1.0, 1.0 + rho, kick], [0.0, rho, kick]])
+
+
 def test_mc_matches_plain_loop_oracle():
     # two blocks, the second partial; every block's documented stream is
     # drawn here step by step and its phases propagated in a plain loop
@@ -124,13 +195,13 @@ def test_mc_matches_plain_loop_oracle():
                 phase = phase + field
                 field = field * rho + noise * kick
                 phase = phase + field
-            rows.append(np.cos(phase))
-        c = np.array(rows)
-        cosines.append(c)
-        # summed the way numpy reduces one row segment (the order decides
-        # the last bit, and 1 - mean(u) cancels where g is small)
-        sum_u += np.add.reduceat(1.0 - c, [0], axis=1)[:, 0]
-        sum_u2 += np.add.reduceat((1.0 - c) ** 2, [0], axis=1)[:, 0]
+            rows.append(_documented_u(phase))
+        u = np.array(rows)
+        cosines.append(1.0 - u)
+        # summed the way numpy reduces one row (the order decides the last
+        # bit, and 1 - mean(u) cancels where g is small)
+        sum_u += u.sum(axis=1)
+        sum_u2 += (u * u).sum(axis=1)
     damp = np.exp(-config.gamma * config.t_grid)
     mean_u, mean_u2 = sum_u / n, sum_u2 / n
     g = (1.0 - mean_u) * damp
@@ -349,6 +420,27 @@ def test_mc_starts_at_most_one_worker_thread_per_usable_cpu(monkeypatch):
         started.clear()
         mc_coherence(_config(n_trajectories=10 ** 6))
         assert len(started) == cpus
+
+
+def test_mc_huge_ensemble_allocates_nothing_per_batch(monkeypatch):
+    # 10^9 trajectories are about 244,000 batches; the first fails at once,
+    # before any of them has been computed
+    from zplkit import simulate
+
+    def failing(config, blocks, stop):
+        raise KeyError("first batch")
+
+    monkeypatch.setattr(simulate, "_batch_sums", failing)
+    with pytest.raises(KeyError):  # imports the pool outside the trace
+        mc_coherence(_config())
+    tracemalloc.start()
+    try:
+        with pytest.raises(KeyError, match="first batch"):
+            mc_coherence(_config(n_trajectories=10 ** 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_mc_determinism_and_stderr_scaling():
