@@ -14,10 +14,10 @@ from . import __version__
 from .errors import ConfigError, FitError, ParseError, ZplkitError
 from .fitting import (analyze_series, classify_lineshape, compare_models,
                       fit_voigt, lorentzian_parts)
-from .io_formats import (_finite, _synthetic_grid_steps, _write_table,
-                         generate_synthetic_series, load_linewidths,
-                         load_manifest, load_series, load_spectrum,
-                         save_spectrum, sha256_of_file, write_result_record)
+from .io_formats import (_finite, _write_table, generate_synthetic_series,
+                         load_linewidths, load_manifest, load_series,
+                         load_spectrum, save_spectrum, sha256_of_file,
+                         write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
 from .physics import MODEL_KINDS, SHAPE_DEFAULTS, check_shape, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
@@ -83,11 +83,11 @@ def _shape(args, fallback=None):
     return shape
 
 
-def _provenance(input_paths, seed=None):
+def _provenance(input_paths):
     return {
         "inputs": {os.path.basename(p): f"sha256:{sha256_of_file(p)}"
                    for p in input_paths},
-        "seed": seed,
+        "seed": None,
         "tool_version": __version__,
     }
 
@@ -227,13 +227,10 @@ def cmd_synth(args):
     shape = _shape(args)
     model = make_model(args.model, args.amplitude, **shape)
     temperatures = np.arange(args.t_start, t_stop, args.t_step)
-    manifest_path = generate_synthetic_series(
+    manifest_path, sizes = generate_synthetic_series(
         args.out_dir, model, shape=shape, gaussian_floor=args.fg,
         temperatures=temperatures, peak_snr=args.snr,
         n_points=args.n_points, seed=args.seed, emitter_id=args.emitter_id)
-    sizes = [_synthetic_grid_steps(voigt_fwhm(
-        args.fg, model.lorentzian_fwhm(float(t))), args.n_points)[2]
-        for t in temperatures]
     counts = (f"{min(sizes)}" if min(sizes) == max(sizes)
               else f"{min(sizes)}-{max(sizes)}")
     _say(args, f"wrote {len(temperatures)} spectra ({counts} points) "

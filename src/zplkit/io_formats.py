@@ -331,18 +331,14 @@ def sha256_of_file(path):
     return digest.hexdigest()
 
 
-def _synthetic_grid_steps(total_fwhm, n_points):
-    """(half span, step, points) of the grid `generate_synthetic_series`
-    writes for a line of this total FWHM (meV): at most n_points, fewer
-    where the step, rounded up to whole 0.01 meV, leaves the span short."""
+def _synthetic_grid(center, total_fwhm, n_points):
+    """The energies `generate_synthetic_series` writes for a line of this
+    center and total FWHM (meV): at most n_points, fewer where the step,
+    rounded up to whole 0.01 meV, leaves the span short; aligned to 0.01
+    meV so the 6-digit file format stays lossless."""
     half = max(8.0 * total_fwhm, 3.0)
     step = math.ceil(2.0 * half / (n_points - 1) / 0.01) * 0.01
-    return half, step, int(math.floor(2.0 * half / step)) + 1
-
-
-def _synthetic_grid(center, total_fwhm, n_points):
-    # energies aligned to 0.01 meV so the 6-digit file format stays lossless
-    half, step, n = _synthetic_grid_steps(total_fwhm, n_points)
+    n = int(math.floor(2.0 * half / step)) + 1
     start = round((center - half) / 0.01) * 0.01
     return start + np.arange(n) * step
 
@@ -352,7 +348,8 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
                               temperatures=DEFAULT_TEMPERATURES, peak_snr=30.0,
                               n_points=1001, emitter_id="synthetic", seed=0):
     """Write one spectrum file per temperature plus the manifest
-    `series.json`; returns the manifest path.
+    `series.json`; returns the manifest path and the number of points of
+    each spectrum, in temperature order.
 
     The Lorentzian FWHM follows `model`, the Gaussian FWHM is the constant
     `gaussian_floor`, and the line center drifts linearly from 1820.2 meV
@@ -410,4 +407,4 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
         save_spectrum(spectrum, manifest.resolve(entry))
     manifest_path = os.path.join(out_dir, "series.json")
     save_manifest(manifest, manifest_path)
-    return manifest_path
+    return manifest_path, [spectrum.n_points for spectrum in spectra]

@@ -14,7 +14,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, pairwise
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = ["SimulationConfig", "CoherenceTrace", "analytic_coherence",
 _PAD_FACTOR = 8  # zero padding of the symmetric trace before the FFT
 _DECAY_REQUIRED = 1e-6
 _BLOCK = 1024  # Monte-Carlo trajectories per random stream
-_BATCH_BLOCKS = 4  # most blocks advanced together; bounds working memory
 _STEP_CHUNK = 16  # time steps drawn and reduced together
 _MAX_STEPS = 10 ** 6  # time steps per run; keeps the FFT buffers near 256 MB
 
@@ -214,56 +213,41 @@ def _half_angle_sine(phase, out, scratch):
     return np.sin(out, out=out)
 
 
-def _batch_sums(config, blocks, stop):
-    """Per-step sums of s^2 and s^4, s = sin(phase/2), over each block in
-    `blocks` (a range of block indices): an array (2, n_pts, len(blocks)).
-    Returns None, unfinished, once the event `stop` is set."""
+def _block_sums(config, block, stop):
+    """Per-step sums of s^2 and s^4, s = sin(phase/2), over the trajectories
+    of block number `block`: an array (2, n_pts).  Returns None, unfinished,
+    once the event `stop` is set."""
     n_pts = config.n_steps + 1
     rho = np.exp(-config.correlation_rate * config.dt)
     half_dt_sigma = 0.5 * config.dt * config.sigma
     kick = half_dt_sigma * np.sqrt(max(0.0, 1.0 - rho * rho))
-    widths = [min(_BLOCK, config.n_trajectories - b * _BLOCK) for b in blocks]
-    gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-                entropy=config.seed, spawn_key=(b,)))) for b in blocks]
-
-    def draw(gen, rows, width):  # the block's stream, in order
-        if width == _BLOCK:
-            gen.standard_normal(out=rows)
-        else:  # a partial block, padded to _BLOCK columns
-            rows[..., :width] = gen.standard_normal(rows.shape[:-1] + (width,))
-
+    width = min(_BLOCK, config.n_trajectories - block * _BLOCK)
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        entropy=config.seed, spawn_key=(block,))))
     chunk = min(_STEP_CHUNK, n_pts - 1)
     full = _chunk_matrix(chunk, rho, kick)
-    # per block: rows [phase; field (kept scaled by dt*sigma/2); normals]
-    inputs = np.zeros((len(blocks), chunk + 2, _BLOCK))
-    outputs = np.empty((len(blocks), chunk + 1, _BLOCK))
-    sine = np.empty((len(blocks), chunk, _BLOCK), dtype=np.float32)
+    # rows [phase; field (kept scaled by dt*sigma/2); normals]
+    inputs = np.zeros((chunk + 2, width))  # the phase starts at 0
+    outputs = np.empty((chunk + 1, width))
+    sine = np.empty((chunk, width), dtype=np.float32)
     squares = np.empty(sine.shape)
-    sums = np.zeros((2, n_pts, len(blocks)))  # the phase starts at 0
-    for i, (gen, width) in enumerate(zip(gens, widths)):
-        draw(gen, inputs[i, 1], width)  # stationary start
-    inputs[:, 1] *= half_dt_sigma
+    sums = np.zeros((2, n_pts))
+    gen.standard_normal(out=inputs[1])  # stationary start
+    inputs[1] *= half_dt_sigma
     for k0 in range(1, n_pts, chunk):
         if stop.is_set():
             return None
         steps = min(chunk, n_pts - k0)
         matrix = full if steps == chunk else _chunk_matrix(steps, rho, kick)
-        for i, (gen, width) in enumerate(zip(gens, widths)):
-            draw(gen, inputs[i, 2:steps + 2], width)
-        # every block's product has the same shape, so a column's
-        # arithmetic does not depend on the batch it lands in
-        out = np.matmul(matrix, inputs[:, :steps + 2],
-                        out=outputs[:, :steps + 1])
-        inputs[:, :2] = out[:, steps - 1:]
-        s = _half_angle_sine(out[:, :steps], sine[:, :steps],
-                             squares[:, :steps])
-        sq = np.square(s, out=squares[:, :steps], dtype=np.float64)
-        # s^4 goes into the spent phase rows; each block sums only its own
-        # columns, so the summation order is the block's alone
-        for j, power in enumerate((sq, np.square(sq, out=out[:, :steps]))):
-            for i, width in enumerate(widths):
-                np.add.reduce(power[i, :, :width], axis=-1,
-                              out=sums[j, k0:k0 + steps, i])
+        gen.standard_normal(out=inputs[2:steps + 2])
+        out = np.matmul(matrix, inputs[:steps + 2], out=outputs[:steps + 1])
+        inputs[:2] = out[steps - 1:]
+        s = _half_angle_sine(out[:steps], sine[:steps], squares[:steps])
+        sq = np.square(s, out=squares[:steps], dtype=np.float64)
+        np.add.reduce(sq, axis=-1, out=sums[0, k0:k0 + steps])
+        # s^4 goes into the spent phase rows
+        np.add.reduce(np.square(sq, out=out[:steps]), axis=-1,
+                      out=sums[1, k0:k0 + steps])
     return sums
 
 
@@ -272,17 +256,17 @@ def mc_coherence(config) -> CoherenceTrace:
 
     The unit-variance field takes the exact step e' = rho*e + sqrt(1-rho^2)*xi
     with rho = exp(-correlation_rate*dt); the phase follows by the trapezoid
-    rule.  Block b of _BLOCK trajectories draws from an SFC64 stream seeded
-    by SeedSequence(entropy=seed, spawn_key=(b,)), _STEP_CHUNK steps at a
-    time, into the rows [phase; field; normals] that one matrix product per
-    chunk takes to the chunk's phases and last field; the chunk matrix is
-    the recurrence applied to coefficient rows, and a partial block is
-    padded to _BLOCK columns.  A pool of min(usable CPUs, blocks) threads
-    computes batches of at most _BATCH_BLOCKS blocks, each in a copy of the
-    caller's context (numpy's floating-point error state included), and the
-    caller adds their block sums in block order, so results do not depend
-    on the batching or the thread count.  The earliest failing batch in
-    block order stops those still running at their next chunk, and its
+    rule.  Block b of _BLOCK trajectories (the last may hold fewer) draws
+    from an SFC64 stream seeded by SeedSequence(entropy=seed,
+    spawn_key=(b,)), _STEP_CHUNK steps at a time, into the rows [phase;
+    field; normals] that one matrix product per chunk takes to the chunk's
+    phases and last field; the chunk matrix is the recurrence applied to
+    coefficient rows.  Each block is one task on a pool of min(usable CPUs,
+    blocks) threads, run in a copy of the caller's context (numpy's
+    floating-point error state included); at most 2 * threads blocks are
+    submitted ahead of the fold, and the caller adds their sums in block
+    order, so results do not depend on the thread count.  The earliest
+    failing block stops those still running at their next chunk, and its
     exception is raised here once every thread has finished.  OpenBLAS
     runs the 16-step product on the calling thread, so the pool is not
     oversubscribed: with OPENBLAS_NUM_THREADS unset, its own thread took no
@@ -301,27 +285,20 @@ def mc_coherence(config) -> CoherenceTrace:
     n_traj = config.n_trajectories
     n_blocks = -(-n_traj // _BLOCK)
     n_workers = min(_usable_cpus(), n_blocks)
-    # an equal share of blocks per worker, larger batches first
-    n_batches = -(-n_blocks // _BATCH_BLOCKS)
-    n_batches = min(-(-n_batches // n_workers) * n_workers, n_blocks)
-    q, r = divmod(n_blocks, n_batches)
-    starts = (i * q + min(i, r) for i in range(n_batches + 1))
     sums = np.zeros((2, n_pts))  # sums of s^2 = u/2 and of s^4 = u^2/4
     stop = threading.Event()
     from concurrent.futures import ThreadPoolExecutor  # costly at CLI start
     with ThreadPoolExecutor(n_workers) as pool:
-        # submitted as others are folded: at most 2 * n_workers batches
+        # submitted as others are folded: at most 2 * n_workers blocks
         # (and their sums) wait behind a slow one
-        batches = (pool.submit(contextvars.copy_context().run, _batch_sums,
-                               config, range(a, b), stop)
-                   for a, b in pairwise(starts))
+        blocks = (pool.submit(contextvars.copy_context().run, _block_sums,
+                              config, b, stop) for b in range(n_blocks))
         try:
-            pending = deque(islice(batches, 2 * n_workers))
+            pending = deque(islice(blocks, 2 * n_workers))
             while pending:
-                for column in np.moveaxis(pending.popleft().result(), -1, 0):
-                    np.add(sums, column, out=sums)
-                pending.extend(islice(batches, 1))
-        finally:  # a batch still running returns at its next chunk
+                np.add(sums, pending.popleft().result(), out=sums)
+                pending.extend(islice(blocks, 1))
+        finally:  # a block still running returns at its next chunk
             stop.set()
 
     mean_u, mean_u2 = 2.0 * sums[0] / n_traj, 4.0 * sums[1] / n_traj

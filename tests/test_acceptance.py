@@ -116,7 +116,7 @@ def test_criterion_4_cubic_vs_finite_band_separation():
 
 def test_criterion_5_synthetic_series_end_to_end(tmp_path):
     model = AcousticDebye(amplitude=6.82, debye_temperature=600.0)
-    manifest_path = generate_synthetic_series(
+    manifest_path, _ = generate_synthetic_series(
         tmp_path / "series", model, gaussian_floor=0.72, peak_snr=30.0,
         seed=20260808)
     series = load_series(load_manifest(manifest_path))
@@ -253,8 +253,8 @@ def test_criterion_8_fit_engine_integrity():
 
 def test_criterion_9_format_stability(tmp_path):
     model = AcousticDebye(amplitude=6.82, debye_temperature=600.0)
-    path_a = generate_synthetic_series(tmp_path / "a", model, seed=99)
-    path_b = generate_synthetic_series(tmp_path / "b", model, seed=99)
+    path_a, _ = generate_synthetic_series(tmp_path / "a", model, seed=99)
+    path_b, _ = generate_synthetic_series(tmp_path / "b", model, seed=99)
     manifest_a, manifest_b = load_manifest(path_a), load_manifest(path_b)
     same_series = all(
         open(manifest_a.resolve(ea), "rb").read()

@@ -182,6 +182,19 @@ def test_readme_names_resolve_on_the_package():
             obj = getattr(obj, name)
 
 
+def test_cli_import_does_not_load_the_thread_pool():
+    # mc_coherence imports concurrent.futures itself: at module level the
+    # import would add several ms to every command's start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zplkit.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_simulate_command_deterministic(tmp_path):
     args = ("simulate", "--sigma", "0", "--gamma", "1.0", "--t-max", "20",
             "--dt", "0.1", "--n-traj", "50", "--seed", "11",
@@ -227,12 +240,12 @@ def test_simulate_single_trajectory(tmp_path):
 def test_simulate_worker_overflow_is_one_parse_line(tmp_path, monkeypatch):
     # a worker thread keeps main's floating-point error state: its overflow
     # is the one parse line, and nothing is written
-    def batch_sums(config, blocks, stop):
+    def block_sums(config, block, stop):
         assert threading.current_thread() is not threading.main_thread()
         return np.float64(1e300) * np.float64(1e300)
 
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simulate, "_batch_sums", batch_sums)
+    monkeypatch.setattr(simulate, "_block_sums", block_sums)
     monkeypatch.chdir(tmp_path)
     code, _, err = _run_in_process([
         "simulate", "--sigma", "0.46", "--gamma", "5.2", "--t-max", "4.0",

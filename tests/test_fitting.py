@@ -197,8 +197,8 @@ def test_extract_components_zero_lorentzian_series():
 def test_extract_components_ignores_a_pinned_floor(tmp_path):
     # seed 5's 270 K spectrum fits with f_G on its bound: that fit says
     # nothing about the floor and must carry no weight in it
-    path = generate_synthetic_series(tmp_path, AcousticDebye(6.82, 600.0),
-                                     seed=5)
+    path, _ = generate_synthetic_series(tmp_path, AcousticDebye(6.82, 600.0),
+                                        seed=5)
     fits = [(t, fit_voigt(s)) for t, s in load_series(load_manifest(path))]
     hot = fits[-1][1]
     assert fits[-1][0] == 270.0

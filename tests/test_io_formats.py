@@ -304,18 +304,22 @@ def test_atomic_write_failure_leaves_target_and_no_temp_file(
 
 def test_generate_synthetic_series_default_grid(tmp_path):
     model = AcousticDebye(6.82, 600.0)
-    manifest_path = generate_synthetic_series(tmp_path / "out", model, seed=1)
+    manifest_path, sizes = generate_synthetic_series(tmp_path / "out", model,
+                                                     seed=1)
     manifest = load_manifest(manifest_path)
     assert len(manifest.entries) == 14  # 10 K .. 270 K in 20 K steps
     temps = [e.temperature for e in manifest.entries]
     assert temps == [float(t) for t in range(10, 271, 20)]
+    # the point counts returned are those written, in temperature order
+    assert sizes == [s.n_points for _, s in load_series(manifest)]
+    assert sizes[0] == 577 and max(sizes) <= 1001
     assert manifest.shape == {"debye_temperature": 600.0,
                               "phonon_energy": 18.0}
 
 
 def test_generate_noiseless_round_trip(tmp_path):
     model = AcousticDebye(6.82, 600.0)
-    manifest_path = generate_synthetic_series(
+    manifest_path, _ = generate_synthetic_series(
         tmp_path / "o", model, gaussian_floor=0.72, peak_snr=0.0,
         temperatures=(10.0, 150.0, 270.0), seed=0)
     series = load_series(load_manifest(manifest_path))
@@ -346,14 +350,14 @@ def test_generate_writes_nothing_for_invalid_temperatures(tmp_path):
 
 def test_generate_is_deterministic(tmp_path):
     model = AcousticDebye(6.82, 600.0)
-    p1 = generate_synthetic_series(tmp_path / "a", model, seed=42)
-    p2 = generate_synthetic_series(tmp_path / "b", model, seed=42)
+    p1, _ = generate_synthetic_series(tmp_path / "a", model, seed=42)
+    p2, _ = generate_synthetic_series(tmp_path / "b", model, seed=42)
     m1, m2 = load_manifest(p1), load_manifest(p2)
     for e1, e2 in zip(m1.entries, m2.entries):
         b1 = open(m1.resolve(e1), "rb").read()
         b2 = open(m2.resolve(e2), "rb").read()
         assert b1 == b2
-    p3 = generate_synthetic_series(tmp_path / "c", model, seed=43)
+    p3, _ = generate_synthetic_series(tmp_path / "c", model, seed=43)
     m3 = load_manifest(p3)
     assert (open(m1.resolve(m1.entries[0]), "rb").read()
             != open(m3.resolve(m3.entries[0]), "rb").read())

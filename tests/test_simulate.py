@@ -304,23 +304,17 @@ def test_mc_fast_modulation_motional_narrowing():
     assert np.all(diff <= 3.0 * trace.stderr[mask])
 
 
-def test_mc_independent_of_batching(monkeypatch):
-    # 1, 2 and 3 workers (3: one per block), steps drawn one at a time, in
-    # default chunks and all in one chunk, and one or up to _BATCH_BLOCKS
-    # blocks per batch; a lost or reordered fold changes the bytes
+def test_mc_independent_of_worker_count(monkeypatch):
+    # 1, 2 and 3 workers (3: one per block), with threads switching as
+    # often as they can; a lost or reordered fold changes the bytes
     from zplkit import simulate
     config = _config(n_trajectories=2 * simulate._BLOCK + 37, seed=4)
-    assert simulate._BATCH_BLOCKS >= 3  # one worker: one batch, all blocks
     default = mc_coherence(config)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers, chunk, batch in itertools.product(
-                (1, 2, 3), (1, simulate._STEP_CHUNK, config.n_steps + 5),
-                (1, simulate._BATCH_BLOCKS)):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
-            monkeypatch.setattr(simulate, "_STEP_CHUNK", chunk)
-            monkeypatch.setattr(simulate, "_BATCH_BLOCKS", batch)
             trace = mc_coherence(config)
             assert default.g.tobytes() == trace.g.tobytes()
             assert default.stderr.tobytes() == trace.stderr.tobytes()
@@ -328,32 +322,54 @@ def test_mc_independent_of_batching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_mc_chunk_length_moves_g_within_the_observable_bound(monkeypatch):
+    # a chunk length rounds the float64 phases its own way, which the
+    # float32 sine does not always hide; each run's mean u stays within the
+    # mean documented per-u error, 5e-7 u + 2^-50 |phase|, of the exact
+    # mean over its phases, and those phases differ only in their last bits
+    from zplkit import simulate
+    config = SimulationConfig(sigma=1.0, gamma=0.0, correlation_rate=0.01,
+                              t_max=20.0, dt=0.1, n_trajectories=10000,
+                              seed=42)
+    default = mc_coherence(config)
+    # E|phase| <= rms phase, sqrt(-2 ln g) of the exact Gaussian-phase
+    # coherence; twice that covers the sample's scatter about it
+    kubo = analytic_coherence(1.0, 0.0, default.t, correlation_rate=0.01)
+    abs_phase = 2.0 * np.sqrt(-2.0 * np.log(kubo.g.real))
+    for chunk in (1, config.n_steps):
+        monkeypatch.setattr(simulate, "_STEP_CHUNK", chunk)
+        trace = mc_coherence(config)
+        u_a, u_b = 1.0 - default.g.real, 1.0 - trace.g.real
+        bound = 5e-7 * (u_a + u_b) + 2 * 2.0 ** -50 * abs_phase
+        assert np.all(np.abs(trace.g.real - default.g.real) <= bound)
+
+
 def test_mc_worker_failure_reaches_caller(monkeypatch):
-    # the first batch fails; the real _batch_sums of a batch still running
-    # is stopped, and every thread is joined before the failure reaches the
+    # block 0 fails; the real _block_sums of every block still running is
+    # stopped, and every thread is joined before the failure reaches the
     # caller
     from zplkit import simulate
-    real = simulate._batch_sums
+    real = simulate._block_sums
     results = []
 
-    def failing(config, blocks, stop):
-        if blocks.start == 0:
-            raise KeyError("first batch")
-        assert stop.wait(10)  # still running when the caller meets batch 0
-        results.append(real(config, blocks, stop))
+    def failing(config, block, stop):
+        if block == 0:
+            raise KeyError("first block")
+        assert stop.wait(10)  # still running when the caller meets block 0
+        results.append(real(config, block, stop))
         return results[-1]
 
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simulate, "_batch_sums", failing)
+    monkeypatch.setattr(simulate, "_block_sums", failing)
     before = threading.active_count()
-    with pytest.raises(KeyError, match="first batch"):
+    with pytest.raises(KeyError, match="first block"):
         mc_coherence(_config(n_trajectories=2 * simulate._BLOCK + 37))
     assert threading.active_count() == before
-    assert results == [None]
+    assert results == [None, None]
 
 
-def test_mc_folds_at_most_two_batches_per_worker_ahead(monkeypatch):
-    # batch 0 is held back: at most 2 * workers - 1 later batches start
+def test_mc_folds_at_most_two_blocks_per_worker_ahead(monkeypatch):
+    # block 0 is held back: at most 2 * workers - 1 later blocks start
     # before it is released, which bounds the sums waiting to be folded
     from zplkit import simulate
     n_workers = 2
@@ -361,22 +377,21 @@ def test_mc_folds_at_most_two_batches_per_worker_ahead(monkeypatch):
     later, seen = [], []
     held, overrun = threading.Event(), threading.Event()
 
-    def batch_sums(config, blocks, stop):
-        if blocks.start == 0:
+    def block_sums(config, block, stop):
+        if block == 0:
             held.wait(10)
-            overrun.wait(0.2)  # time for a batch past the bound to start
+            overrun.wait(0.2)  # time for a block past the bound to start
             seen.append(len(later))
         else:
-            later.append(blocks.start)
+            later.append(block)
             if len(later) == bound:
                 held.set()
             if len(later) > bound:
                 overrun.set()
-        return np.zeros((2, config.n_steps + 1, len(blocks)))
+        return np.zeros((2, config.n_steps + 1))
 
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: n_workers)
-    monkeypatch.setattr(simulate, "_BATCH_BLOCKS", 1)
-    monkeypatch.setattr(simulate, "_batch_sums", batch_sums)
+    monkeypatch.setattr(simulate, "_block_sums", block_sums)
     mc_coherence(_config(n_trajectories=12 * simulate._BLOCK))
     assert seen == [bound]
     assert sorted(later) == list(range(1, 12))
@@ -391,13 +406,13 @@ def test_mc_starts_at_most_one_worker_thread_per_usable_cpu(monkeypatch):
         started.append(thread)
         real_start(thread)
 
-    def batch_sums(config, blocks, stop):  # no trajectories: counts only
-        return np.zeros((2, config.n_steps + 1, len(blocks)))
+    def block_sums(config, block, stop):  # no trajectories: counts only
+        return np.zeros((2, config.n_steps + 1))
 
     monkeypatch.setattr(threading.Thread, "start", start)
     mc_coherence(_config(n_trajectories=simulate._BLOCK))
     assert len(started) == 1  # one block: one worker thread
-    monkeypatch.setattr(simulate, "_batch_sums", batch_sums)
+    monkeypatch.setattr(simulate, "_block_sums", block_sums)
     readme = SimulationConfig(sigma=0.46, gamma=5.2, correlation_rate=0.005,
                               t_max=3.6, dt=0.002, n_trajectories=10000,
                               seed=3)
@@ -405,37 +420,37 @@ def test_mc_starts_at_most_one_worker_thread_per_usable_cpu(monkeypatch):
     mc_coherence(readme)
     assert 1 <= len(started) <= simulate._usable_cpus()
     for cpus in (1, 3):
-        # the first `cpus` batches wait for each other, so no thread is
+        # the first `cpus` blocks wait for each other, so no thread is
         # idle until the pool has started all of its threads
         barrier = threading.Barrier(cpus, timeout=10)
         calls = itertools.count()
 
-        def gathered(config, blocks, stop):
+        def gathered(config, block, stop):
             if next(calls) < cpus:
                 barrier.wait()
-            return batch_sums(config, blocks, stop)
+            return block_sums(config, block, stop)
 
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(simulate, "_batch_sums", gathered)
+        monkeypatch.setattr(simulate, "_block_sums", gathered)
         started.clear()
         mc_coherence(_config(n_trajectories=10 ** 6))
         assert len(started) == cpus
 
 
-def test_mc_huge_ensemble_allocates_nothing_per_batch(monkeypatch):
-    # 10^9 trajectories are about 244,000 batches; the first fails at once,
+def test_mc_huge_ensemble_allocates_nothing_per_block(monkeypatch):
+    # 10^9 trajectories are about 977,000 blocks; the first fails at once,
     # before any of them has been computed
     from zplkit import simulate
 
-    def failing(config, blocks, stop):
-        raise KeyError("first batch")
+    def failing(config, block, stop):
+        raise KeyError("first block")
 
-    monkeypatch.setattr(simulate, "_batch_sums", failing)
+    monkeypatch.setattr(simulate, "_block_sums", failing)
     with pytest.raises(KeyError):  # imports the pool outside the trace
         mc_coherence(_config())
     tracemalloc.start()
     try:
-        with pytest.raises(KeyError, match="first batch"):
+        with pytest.raises(KeyError, match="first block"):
             mc_coherence(_config(n_trajectories=10 ** 9))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
