@@ -11,17 +11,14 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DomainError, FitError, FormatError,
                      IllConditionedError, InsufficientDataError,
                      InsufficientDecayError, NoPeakError, NotConvergedError,
-                     NonUnimodalError, ParseError, QuadratureError,
-                     ZplkitError)
+                     ParseError, QuadratureError, ZplkitError)
 from .lineshape import (GAUSSIAN_FWHM_FACTOR, VoigtParams, gaussian_profile,
                         gamma_from_fwhm, grid_fwhm, invert_voigt_fwhm,
-                        lorentzian_profile, measure_fwhm, sigma_from_fwhm,
-                        voigt_direct_convolution, voigt_fwhm, voigt_profile)
+                        sigma_from_fwhm, voigt_fwhm, voigt_profile)
 from .physics import (BOLTZMANN_MEV_PER_K, HBAR_MEV_PS,
                       REFERENCE_TEMPERATURE_K, AcousticDebye, CubicLaw,
                       DephasingModel, MODEL_KINDS, OpticalMode, bose_einstein,
-                      cubic_asymptote, debye_integral, make_model,
-                      reduced_debye_integral)
+                      debye_integral, make_model, reduced_debye_integral)
 from .fitting import (LineshapeClassification, ModelComparison, SeriesFitResult,
                       SeriesModelFit, Spectrum, VoigtFit, analyze_series,
                       classify_lineshape, compare_models, extract_components,

@@ -17,10 +17,6 @@ class QuadratureError(ZplkitError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class NonUnimodalError(ZplkitError):
-    """A profile expected to be single-peaked is not."""
-
-
 class FitError(ZplkitError):
     """Base class for fitting failures."""
 

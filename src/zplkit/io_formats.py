@@ -79,7 +79,8 @@ def _load_json(path):
 
 
 def _finite(value, where="value", line_number=None):
-    """The float of `value`; a ParseError unless it is a finite number."""
+    """The float of a text field (a table cell or a flag); a ParseError
+    unless it reads as a finite number."""
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -87,6 +88,31 @@ def _finite(value, where="value", line_number=None):
     if not math.isfinite(number):
         raise ParseError(f"non-finite {where}: {value!r}", line_number)
     return number
+
+
+def _json_field(obj, key, where, kind=float, default=None):
+    """obj[key] of a JSON object as a finite float (kind float: an int or
+    a float, not a bool, which subclasses int) or as a str (kind str), or
+    `default` if given and the key is missing.  Anything else is a
+    ParseError naming `where` + key."""
+    if key not in obj and default is not None:
+        return default
+    value = obj.get(key)
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    if key not in obj:
+        raise ParseError(f"{where}{key} is missing")
+    expected = "a string" if kind is str else "a finite number"
+    raise ParseError(f"{where}{key} must be {expected}, "
+                     f"got {json.dumps(value)}")
 
 
 def _parse_table(lines):
@@ -226,20 +252,32 @@ def save_manifest(manifest, path):
 
 
 def load_manifest(path) -> SeriesManifest:
+    """Read a series manifest; a shape key left out takes its default."""
     doc = _load_json(path)
+    where = f"manifest {path}: "
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}not a JSON object")
+    meta = doc.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"{where}metadata must be an object")
+    if not isinstance(doc.get("entries"), list):
+        raise ParseError(f"{where}entries must be a list of objects")
+    entries = []
+    for i, entry in enumerate(doc["entries"]):
+        at = f"{where}entries[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{at} must be an object")
+        entries.append(ManifestEntry(
+            _json_field(entry, "temperature_K", at + "."),
+            _json_field(entry, "path", at + ".", str)))
     try:
-        meta = doc.get("metadata", {})
-        entries = tuple(ManifestEntry(float(e["temperature_K"]), str(e["path"]))
-                        for e in doc["entries"])
         manifest = SeriesManifest(
-            emitter_id=str(doc.get("emitter_id", "")),
-            entries=entries,
-            shape={name: float(meta.get(key, SHAPE_DEFAULTS[name]))
-                   for name, key in _MANIFEST_KEYS.items()},
+            emitter_id=_json_field(doc, "emitter_id", where, str, default=""),
+            entries=tuple(entries),
+            shape={name: _json_field(meta, key, f"{where}metadata.")
+                   for name, key in _MANIFEST_KEYS.items() if key in meta},
             base_dir=os.path.dirname(os.path.abspath(path)))
-    # a value of the wrong JSON type, or an integer too large for a float
-    except (AttributeError, KeyError, TypeError, ValueError,
-            OverflowError) as exc:
+    except DomainError as exc:  # temperatures not positive or not unique
         raise ParseError(f"malformed manifest {path}: {exc}") from exc
     for entry in manifest.entries:
         resolved = manifest.resolve(entry)
@@ -301,18 +339,16 @@ def load_linewidths(path, quantity):
         blocks = record.get("per_temperature")
         if not isinstance(blocks, list):
             raise ParseError(f"record {path} carries no per-temperature fits")
-        quantity, key = "total", "total_fwhm_meV"
+        quantity = "total"
         points = []
         for i, block in enumerate(blocks):
-            if not (isinstance(block, dict) and "temperature_K" in block
-                    and key in block):
-                raise ParseError(f"record {path}: per_temperature[{i}] "
-                                 f"lacks temperature_K or {key}")
-            where = f"value in per_temperature[{i}] of {path}"
-            points.append((_finite(block["temperature_K"], where),
-                           _finite(block[key], where)))
-        floor = _finite(record.get("gaussian_floor_meV", 0.0),
-                        f"gaussian_floor_meV in {path}")
+            where = f"record {path}: per_temperature[{i}]"
+            if not isinstance(block, dict):
+                raise ParseError(f"{where} must be an object")
+            points.append((_json_field(block, "temperature_K", where + "."),
+                           _json_field(block, "total_fwhm_meV", where + ".")))
+        floor = _json_field(record, "gaussian_floor_meV", f"record {path}: ",
+                            default=0.0)
     else:
         _, columns = _read_table(text)
         points, floor = list(zip(*columns.tolist())), None

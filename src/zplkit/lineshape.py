@@ -1,4 +1,5 @@
-"""Gaussian, Lorentzian, and Voigt profiles plus FWHM algebra.
+"""Gaussian and Voigt profiles plus FWHM algebra; the Voigt profile with
+sigma = 0 is the Lorentzian.
 
 All profiles are unit-area densities (1/meV); a fitted amplitude multiplies
 the density, so peak height is amplitude * profile(0).  Area rather than peak
@@ -12,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonUnimodalError
+from .errors import DomainError
 from .numerics import faddeeva, faddeeva_derivatives
 
 __all__ = [
-    "GAUSSIAN_FWHM_FACTOR", "VoigtParams",
-    "gaussian_profile", "lorentzian_profile", "voigt_profile",
-    "voigt_value_and_derivatives", "voigt_direct_convolution",
-    "voigt_fwhm", "voigt_fwhm_partials", "invert_voigt_fwhm", "measure_fwhm",
-    "grid_fwhm", "sigma_from_fwhm", "gamma_from_fwhm",
+    "GAUSSIAN_FWHM_FACTOR", "VoigtParams", "gaussian_profile",
+    "voigt_profile", "voigt_value_and_derivatives", "voigt_fwhm",
+    "voigt_fwhm_partials", "invert_voigt_fwhm", "grid_fwhm",
+    "sigma_from_fwhm", "gamma_from_fwhm",
 ]
 
 GAUSSIAN_FWHM_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))  # fwhm = factor * sigma
@@ -46,14 +46,6 @@ def gaussian_profile(x, sigma):
         raise DomainError(f"sigma must be > 0, got {sigma}")
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * (x / sigma) ** 2) / (sigma * _SQRT_2PI)
-
-
-def lorentzian_profile(x, gamma):
-    """Unit-area Lorentzian density (gamma is the HWHM), gamma > 0."""
-    if not gamma > 0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
-    x = np.asarray(x, dtype=float)
-    return (gamma / np.pi) / (x * x + gamma * gamma)
 
 
 def voigt_profile(x, sigma, gamma):
@@ -159,95 +151,6 @@ def invert_voigt_fwhm(total_fwhm, gaussian_fwhm):
     root = np.sqrt(_FWHM_CQ * total_fwhm ** 2 +
                    (_FWHM_CL ** 2 - _FWHM_CQ) * gaussian_fwhm ** 2)
     return (total_fwhm ** 2 - gaussian_fwhm ** 2) / (_FWHM_CL * total_fwhm + root)
-
-
-def voigt_direct_convolution(x_grid, sigma, gamma):
-    """Voigt density by brute-force quadrature of the defining convolution.
-
-    Fixed-step trapezoid over the Gaussian variable (step <= min(sigma,
-    gamma)/50, support +-40*max(sigma, gamma)), renormalized to unit area.
-    Slow by design: this is the independent cross-check for voigt_profile.
-    """
-    x = np.asarray(x_grid, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise DomainError("x_grid must be a 1-d grid with >= 2 points")
-    if np.any(np.diff(x) <= 0):
-        raise DomainError("x_grid must be strictly increasing")
-    if not (sigma > 0 and gamma > 0):
-        raise DomainError("convolution requires sigma > 0 and gamma > 0")
-    fwhm = voigt_fwhm(GAUSSIAN_FWHM_FACTOR * sigma, 2.0 * gamma)
-    if np.max(np.diff(x)) > fwhm / 4.0:
-        raise DomainError("x_grid is too coarse to resolve the line width")
-    step = min(sigma, gamma) / 50.0
-    half_support = 40.0 * max(sigma, gamma)
-    n = int(np.ceil(2.0 * half_support / step)) + 1
-    t = np.linspace(-half_support, half_support, n)
-    weights = np.full(n, t[1] - t[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    gauss_w = gaussian_profile(t, sigma) * weights
-    norm = gauss_w.sum()
-    out = np.empty_like(x)
-    chunk = max(1, int(4e6 / n))
-    for start in range(0, x.size, chunk):
-        xs = x[start:start + chunk]
-        out[start:start + chunk] = lorentzian_profile(
-            xs[:, None] - t[None, :], gamma) @ gauss_w
-    return out / norm
-
-
-def measure_fwhm(profile, center=0.0, width_hint=1.0, tol=1e-10):
-    """FWHM of a unimodal callable by bisection on the half-max crossings.
-
-    The peak is first refined by ternary search near `center`; each
-    half-maximum crossing is then located to within `tol`.
-    """
-    if not width_hint > 0:
-        raise DomainError("width_hint must be > 0")
-    scan = np.linspace(center - 2.0 * width_hint, center + 2.0 * width_hint, 129)
-    values = np.array([profile(s) for s in scan])
-    k = int(np.argmax(values))
-    lo = scan[max(k - 1, 0)]
-    hi = scan[min(k + 1, scan.size - 1)]
-    for _ in range(200):
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        if profile(a) < profile(b):
-            lo = a
-        else:
-            hi = b
-        if hi - lo < tol * 1e-3:
-            break
-    x_peak = 0.5 * (lo + hi)
-    peak = profile(x_peak)
-    if not peak > 0:
-        raise DomainError("profile peak is not positive")
-    half = 0.5 * peak
-
-    def crossing(direction):
-        # fixed-resolution outward march so a secondary peak between the
-        # maximum and the crossing cannot be stepped over unseen
-        step = width_hint / 8.0
-        x_in, f_in = x_peak, peak
-        for k in range(1, 4001):
-            x_out = x_peak + direction * k * step
-            f_out = profile(x_out)
-            if f_out > f_in + 1e-9 * peak:
-                raise NonUnimodalError("profile rises away from its peak")
-            if f_out < half:
-                break
-            x_in, f_in = x_out, f_out
-        else:
-            raise NonUnimodalError("no half-maximum crossing found")
-        while abs(x_out - x_in) > tol:
-            mid = 0.5 * (x_in + x_out)
-            if profile(mid) >= half:
-                x_in = mid
-            else:
-                x_out = mid
-        return 0.5 * (x_in + x_out)
-
-    return crossing(+1.0) - crossing(-1.0)
 
 
 def grid_fwhm(x, y):

@@ -19,7 +19,7 @@ from .numerics import adaptive_gauss_kronrod
 __all__ = [
     "BOLTZMANN_MEV_PER_K", "HBAR_MEV_PS", "REFERENCE_TEMPERATURE_K",
     "bose_einstein", "reduced_debye_integral", "debye_integral",
-    "cubic_asymptote", "AcousticDebye", "CubicLaw", "OpticalMode",
+    "AcousticDebye", "CubicLaw", "OpticalMode",
     "DephasingModel", "MODEL_KINDS", "SHAPE_DEFAULTS", "check_shape",
     "make_model",
 ]
@@ -112,14 +112,6 @@ def debye_integral(temperature, debye_temperature):
     value, _ = reduced_debye_integral(x_d)
     rate = BOLTZMANN_MEV_PER_K * temperature / HBAR_MEV_PS
     return rate ** 3 * value
-
-
-def cubic_asymptote(temperature):
-    """Infinite-band limit of debye_integral: (kT/hbar)^3 * pi^2/3."""
-    if temperature < 0:
-        raise DomainError(f"temperature must be >= 0, got {temperature}")
-    rate = BOLTZMANN_MEV_PER_K * temperature / HBAR_MEV_PS
-    return rate ** 3 * (math.pi ** 2 / 3.0)
 
 
 class DephasingModel:

@@ -11,19 +11,18 @@ import time
 
 import numpy as np
 
-from oracles import (central_difference_jacobian, simpson_reduced_debye,
-                     synthetic_voigt_spectrum)
+from oracles import (central_difference_jacobian, cubic_asymptote,
+                     measure_fwhm, simpson_reduced_debye,
+                     synthetic_voigt_spectrum, voigt_direct_convolution)
 import zplkit.cli
 from zplkit.fitting import (Spectrum, analyze_series, build_series_problem,
                             build_voigt_problem, classify_lineshape,
                             fit_voigt)
 from zplkit.io_formats import (generate_synthetic_series, load_manifest,
                                load_series)
-from zplkit.lineshape import (GAUSSIAN_FWHM_FACTOR, grid_fwhm, measure_fwhm,
-                              sigma_from_fwhm, voigt_direct_convolution,
-                              voigt_fwhm, voigt_profile)
-from zplkit.physics import (HBAR_MEV_PS, AcousticDebye, cubic_asymptote,
-                            debye_integral)
+from zplkit.lineshape import (GAUSSIAN_FWHM_FACTOR, grid_fwhm,
+                              sigma_from_fwhm, voigt_fwhm, voigt_profile)
+from zplkit.physics import HBAR_MEV_PS, AcousticDebye, debye_integral
 from zplkit.simulate import (SimulationConfig, analytic_coherence,
                              mc_coherence, spectrum_from_coherence)
 

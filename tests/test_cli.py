@@ -16,8 +16,9 @@ import zplkit
 from oracles import synthetic_voigt_spectrum
 from zplkit import cli, fitting, simulate
 from zplkit.cli import main
-from zplkit.errors import FitError, NonUnimodalError, ZplkitError
-from zplkit.io_formats import generate_synthetic_series, save_spectrum
+from zplkit.errors import FitError, InsufficientDecayError, ZplkitError
+from zplkit.io_formats import (generate_synthetic_series, load_manifest,
+                               save_spectrum)
 from zplkit.fitting import Spectrum
 from zplkit.physics import MODEL_KINDS, make_model
 
@@ -375,7 +376,8 @@ def test_exit_codes(tmp_path, monkeypatch):
                         lambda *a, **k: calls.append(a))
     code, _, err = _run_in_process(["series", str(series)])
     assert (code, calls) == (1, [])
-    assert err.startswith("error: parse: debye_temperature")
+    assert err.startswith(f"error: parse: manifest {series}: "
+                          "metadata.theta_D_K must be a finite number")
     # every shape flag is checked, also where the model does not take it
     doc["metadata"]["theta_D_K"] = 600.0
     series.write_text(json.dumps(doc))
@@ -483,6 +485,98 @@ def test_json_integer_too_long_is_one_parse_line(tmp_path):
     assert len(err.splitlines()) == 1
 
 
+# the wrong JSON types for a number and for a string; a numeric string is
+# a valid string
+_WRONG_TYPE = {
+    float: st.one_of(st.booleans(), st.floats(0.0, 1e3).map(repr), st.none(),
+                     st.lists(st.floats(0.0, 1e3), max_size=2)),
+    str: st.one_of(st.booleans(), st.floats(0.0, 1e3), st.none(),
+                   st.lists(st.text(max_size=3), max_size=2)),
+}
+# (file, container, key, type) of every JSON value series and compare read
+_JSON_VALUES = [
+    ("manifest", None, "emitter_id", str),
+    ("manifest", "metadata", "theta_D_K", float),
+    ("manifest", "metadata", "phonon_energy_meV", float),
+    ("manifest", "entries", "temperature_K", float),
+    ("manifest", "entries", "path", str),
+    ("record", None, "gaussian_floor_meV", float),
+    ("record", "per_temperature", "temperature_K", float),
+    ("record", "per_temperature", "total_fwhm_meV", float),
+]
+
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory):
+    """A directory with a valid 4-temperature manifest and a valid record,
+    and their documents; series and compare read both without error."""
+    root = tmp_path_factory.mktemp("json")
+    manifest, _ = generate_synthetic_series(
+        root, make_model("acoustic_debye", 6.82),
+        temperatures=(10.0, 90.0, 170.0, 250.0), n_points=101, seed=5)
+    record = {"gaussian_floor_meV": 0.72, "per_temperature": [
+        {"temperature_K": t, "total_fwhm_meV": w}
+        for t, w in ((10.0, 0.72), (90.0, 1.1), (170.0, 2.6), (250.0, 5.3))]}
+    (root / "record.json").write_text(json.dumps(record))
+    for command, name in (("series", "series.json"), ("compare", "record.json")):
+        assert _run_in_process([command, str(root / name), "--quiet"]) \
+            == (0, "", "")
+    with open(manifest, encoding="utf-8") as fh:
+        return root, {"manifest": json.load(fh), "record": record}
+
+
+def _run_with(root, file, doc):
+    path = root / f"edited_{file}.json"
+    path.write_text(json.dumps(doc))
+    command = "series" if file == "manifest" else "compare"
+    return _run_in_process([command, str(path), "--quiet"])
+
+
+@pytest.mark.parametrize("file,container,key,kind", _JSON_VALUES)
+@settings(max_examples=12, deadline=None)
+@given(index=st.integers(0, 3), data=st.data())
+def test_json_value_of_the_wrong_type_is_one_parse_line(
+        json_inputs, file, container, key, kind, index, data):
+    # a bool is an int in Python and "30" converts with float(): neither
+    # may stand in for a number, nor a number for a string
+    root, docs = json_inputs
+    doc = json.loads(json.dumps(docs[file]))
+    target, where = doc, key
+    if container is not None:
+        target, where = doc[container], f"{container}.{key}"
+        if isinstance(target, list):
+            target, where = target[index], f"{container}[{index}].{key}"
+    target[key] = data.draw(_WRONG_TYPE[kind])
+    code, out, err = _run_with(root, file, doc)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: parse: ") and err.count("\n") == 1
+    assert where in err
+
+
+def test_manifest_and_record_shapes_are_parse_errors(json_inputs):
+    root, docs = json_inputs
+    manifest = docs["manifest"]
+    for entries, message in (({}, "entries must be a list of objects"),
+                             (None, "entries must be a list of objects"),
+                             ([1], "entries[0] must be an object")):
+        code, _, err = _run_with(root, "manifest",
+                                 {**manifest, "entries": entries})
+        assert (code, err.count("\n")) == (1, 1)
+        assert message in err
+    code, _, err = _run_with(root, "record", {"per_temperature": [1, 2, 3]})
+    assert code == 1 and "per_temperature[0] must be an object" in err
+    # a number written as a JSON integer is still a number, and a shape key
+    # left out still takes its default
+    ints = {"emitter_id": "x", "metadata": {"theta_D_K": 600},
+            "entries": [{**e, "temperature_K": int(e["temperature_K"])}
+                        for e in manifest["entries"]]}
+    (root / "ints.json").write_text(json.dumps(ints))
+    loaded = load_manifest(root / "ints.json")
+    assert [e.temperature for e in loaded.entries] == [
+        e["temperature_K"] for e in manifest["entries"]]
+    assert loaded.shape == {"debye_temperature": 600.0, "phonon_energy": 18.0}
+
+
 # any finite flag value, huge ones included, and often a plausible one;
 # "--flag=value" keeps a negative value from reading as an option
 _FLAG = st.one_of(st.floats(min_value=0.0, max_value=1e3),
@@ -565,7 +659,7 @@ def _subclasses(cls):
 def test_every_package_error_is_one_line(tmp_path, monkeypatch, capsys):
     # the exit category follows the class hierarchy alone
     errors = set(_subclasses(ZplkitError))
-    assert NonUnimodalError in errors
+    assert InsufficientDecayError in errors
     for error in errors:
         def fail(*args, **kwargs):
             raise error("boom")

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zplkit.errors import DomainError, NonUnimodalError
+from oracles import (NonUnimodalError, lorentzian_profile, measure_fwhm,
+                     voigt_direct_convolution)
+from zplkit.errors import DomainError
 from zplkit.lineshape import (GAUSSIAN_FWHM_FACTOR, VoigtParams,
                               gaussian_profile, grid_fwhm, invert_voigt_fwhm,
-                              lorentzian_profile, measure_fwhm,
-                              sigma_from_fwhm, voigt_direct_convolution,
-                              voigt_fwhm, voigt_fwhm_partials, voigt_profile,
-                              voigt_value_and_derivatives)
+                              sigma_from_fwhm, voigt_fwhm, voigt_fwhm_partials,
+                              voigt_profile, voigt_value_and_derivatives)
 
 
 def test_gaussian_basics():
@@ -236,3 +236,16 @@ def test_voigt_partials_match_mpmath_down_to_the_lorentzian_limit():
             for got, ref in zip([value, *partials], reference):
                 assert got[k] == pytest.approx(float(ref), rel=1e-9,
                                                abs=1e-300)
+
+
+def test_test_oracles_are_not_package_api():
+    # the oracles live in tests/oracles.py; the package exports what it runs
+    import zplkit
+    from zplkit import errors, lineshape, physics
+    for module in (zplkit, errors, lineshape, physics):
+        for name in ("voigt_direct_convolution", "measure_fwhm",
+                     "lorentzian_profile", "cubic_asymptote",
+                     "NonUnimodalError"):
+            assert not hasattr(module, name), (module.__name__, name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

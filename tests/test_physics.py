@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import simpson_reduced_debye
+from oracles import cubic_asymptote, simpson_reduced_debye
 from zplkit import physics
 from zplkit.cli import _model_block
 from zplkit.errors import DomainError
@@ -12,8 +12,8 @@ from zplkit.fitting import ModelComparison, build_series_problem
 from zplkit.io_formats import generate_synthetic_series
 from zplkit.physics import (BOLTZMANN_MEV_PER_K, HBAR_MEV_PS, MODEL_KINDS,
                             AcousticDebye, CubicLaw, OpticalMode,
-                            bose_einstein, cubic_asymptote, debye_integral,
-                            make_model, reduced_debye_integral)
+                            bose_einstein, debye_integral, make_model,
+                            reduced_debye_integral)
 
 # golden value pinned with an arbitrary-precision oracle (40 digits)
 BOSE_18MEV_300K = 0.9937813313789182
