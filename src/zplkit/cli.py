@@ -83,10 +83,14 @@ def _shape(args, fallback=None):
     return shape
 
 
-def _provenance(input_paths):
+def _provenance(input_paths, digests=None):
+    """`digests` holds the inputs' SHA-256 hex digests where they are
+    already known from reading them."""
+    if digests is None:
+        digests = [sha256_of_file(p) for p in input_paths]
     return {
-        "inputs": {os.path.basename(p): f"sha256:{sha256_of_file(p)}"
-                   for p in input_paths},
+        "inputs": {os.path.basename(p): f"sha256:{digest}"
+                   for p, digest in zip(input_paths, digests)},
         "seed": None,
         "tool_version": __version__,
     }
@@ -178,7 +182,7 @@ def _number(text):
 
 
 def cmd_compare(args):
-    points, record_floor = load_linewidths(args.input, args.quantity)
+    points, record_floor, digest = load_linewidths(args.input, args.quantity)
     floor = args.fix_fg if args.fix_fg is not None else (record_floor or 0.0)
     if record_floor is not None and args.quantity == "lorentzian":
         points = lorentzian_parts(points, floor)  # a record holds totals
@@ -192,7 +196,7 @@ def cmd_compare(args):
             "gaussian_floor_meV": floor,
             "models": [_model_block(row) for row in rows],
             "best_model": rows[0].kind,
-            "provenance": _provenance([args.input]),
+            "provenance": _provenance([args.input], [digest]),
         }, args.output)
         _say(args, f"wrote {args.output}")
     return 0

@@ -11,6 +11,7 @@ records are JSON.  Writers are atomic (temp file + rename).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -59,13 +60,20 @@ def _atomic_write_text(path, text):
         raise
 
 
-def _read_text(path):
-    """The whole file as text; bytes that are not UTF-8 are a parse error."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _decode(data, path):
+    """File bytes as text, decoded as open(path, encoding="utf-8") reads
+    them (universal newlines); bytes that are not UTF-8 are a parse error."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_text(path):
+    """The whole file as text; bytes that are not UTF-8 are a parse error."""
+    with open(path, "rb") as fh:
+        return _decode(fh.read(), path)
 
 
 def _load_json(path):
@@ -321,16 +329,18 @@ def load_result_record(path):
 
 
 def load_linewidths(path, quantity):
-    """(T, linewidth) pairs and a Gaussian floor: a result record's total
-    FWHMs and its floor, or the values of a `temperature_K,linewidth_meV`
-    table as they are and None; `quantity` ("total" or "lorentzian") names
-    what a table holds.
+    """(T, linewidth) pairs, a Gaussian floor and the SHA-256 hex digest of
+    the file, from one read: a result record's total FWHMs and its floor,
+    or the values of a `temperature_K,linewidth_meV` table as they are and
+    None; `quantity` ("total" or "lorentzian") names what a table holds.
 
     Every value must be a finite number, a total linewidth positive and a
     Lorentzian one non-negative: fits of pure Gaussian lines report f_L on
     its bound of zero.
     """
-    text = _read_text(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = _decode(data, path)
     try:
         record = json.loads(text)
     except (ValueError, RecursionError):  # not JSON: a table
@@ -356,7 +366,7 @@ def load_linewidths(path, quantity):
         if width < 0 or (quantity == "total" and width == 0):
             raise ParseError(f"invalid {quantity} linewidth {width!r} at "
                              f"{t!r} K in {path}")
-    return points, floor
+    return points, floor, hashlib.sha256(data).hexdigest()
 
 
 def sha256_of_file(path):

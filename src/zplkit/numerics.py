@@ -132,6 +132,7 @@ _GK_WEIGHTS_G[1::2] = [
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ]
+_GK_WEIGHTS = np.stack([_GK_WEIGHTS_K, _GK_WEIGHTS_G])
 
 
 def _gk15(func, lo, hi):
@@ -140,15 +141,25 @@ def _gk15(func, lo, hi):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     y = func((mid[:, None] + half[:, None] * _GK_NODES).ravel())
-    panels = []
-    # one dot per panel: a (n, 15) matmul sums in another order, which
-    # moves integrals in the last digits
-    for a, b, h, row in zip(lo, hi, half, np.reshape(y, (-1, 15))):
-        i_k = h * float(_GK_WEIGHTS_K @ row)
-        i_g = h * float(_GK_WEIGHTS_G @ row)
-        # |K15 - G7| is a conservative bound on the K15 error
-        panels.append((a, b, i_k, abs(i_k - i_g)))
-    return panels
+    # vecdot takes the same BLAS dot per panel and rule as `weights @ row`,
+    # so each sum keeps its bits; a (n, 15) matmul would sum in another
+    # order and move integrals in the last digits
+    sums = np.vecdot(np.asarray(y).reshape(-1, 1, 15), _GK_WEIGHTS)
+    i_k = half * sums[:, 0]
+    # |K15 - G7| is a conservative bound on the K15 error
+    err = np.abs(i_k - half * sums[:, 1])
+    return list(zip(lo, hi, i_k, err))
+
+
+def _initial_edges(a, b, n):
+    """np.linspace(a, b, n + 1), by its own formula where the step is
+    nonzero, without its per-call overhead."""
+    step = (b - a) / n
+    if step == 0:  # linspace takes another formula then
+        return np.linspace(a, b, n + 1)
+    edges = np.arange(n + 1.0) * step + a
+    edges[-1] = b
+    return edges
 
 
 def adaptive_gauss_kronrod(func, a, b, rel_tol=1e-10, abs_tol=1e-30,
@@ -164,7 +175,7 @@ def adaptive_gauss_kronrod(func, a, b, rel_tol=1e-10, abs_tol=1e-30,
         raise DomainError(f"invalid integration range [{a}, {b}]")
     if b == a:
         return 0.0, 0.0
-    edges = np.linspace(a, b, initial_intervals + 1)
+    edges = _initial_edges(a, b, initial_intervals)
     intervals = _gk15(func, edges[:-1], edges[1:])
     while True:
         total = sum(iv[2] for iv in intervals)

@@ -10,6 +10,7 @@ each iteration is one linear solve and one residual evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,21 +33,39 @@ class LeastSquaresResult:
     "step_tol", "lambda_max" (no descent left at maximal damping) or "cap"
     (iteration cap hit, not converged).  `at_bound` holds the indices of
     the parameters that end exactly on their lower bound; their variances
-    are infinite.
+    are infinite.  `normal_matrix` is J^T J at the solution and `dof` the
+    residual count minus the parameter count.
     """
 
     params: np.ndarray
     rss: float
-    covariance: np.ndarray
     n_iterations: int
     reason: str
     n_accepted: int
     n_rejected: int
     at_bound: tuple
+    normal_matrix: np.ndarray
+    dof: int
 
     @property
     def converged(self):
         return self.reason != "cap"
+
+    @cached_property
+    def covariance(self):
+        """(J^T J)^-1 scaled by rss/dof over the parameters off their
+        bounds, an infinite variance for each one on its bound; formed the
+        first time it is read, since most callers never do."""
+        s2 = self.rss / self.dof if self.dof > 0 else 0.0
+        at_bound = list(self.at_bound)
+        free = np.ones(self.params.size, dtype=bool)
+        free[at_bound] = False
+        off = np.flatnonzero(free)[:, None]
+        covariance = np.zeros((self.params.size, self.params.size))
+        covariance[off, off.T] = s2 * np.linalg.pinv(
+            self.normal_matrix[off, off.T])
+        covariance[at_bound, at_bound] = np.inf
+        return covariance
 
 
 def least_squares(residual, jacobian, p0, lower=None):
@@ -164,14 +183,8 @@ def least_squares(residual, jacobian, p0, lower=None):
                 reason = "lambda_max"
                 break
 
-    dof = r.size - p.size
-    s2 = rss / dof if dof > 0 else 0.0
-    at_bound = np.flatnonzero(p <= lower)
-    off = np.flatnonzero(p > lower)[:, None]
-    covariance = np.zeros((p.size, p.size))
-    covariance[off, off.T] = s2 * np.linalg.pinv(hess[off, off.T])
-    covariance[at_bound, at_bound] = np.inf
     return LeastSquaresResult(
-        params=p, rss=rss, covariance=covariance, n_iterations=iteration,
-        reason=reason, n_accepted=n_accepted, n_rejected=n_rejected,
-        at_bound=tuple(at_bound.tolist()))
+        params=p, rss=rss, n_iterations=iteration, reason=reason,
+        n_accepted=n_accepted, n_rejected=n_rejected,
+        at_bound=tuple(np.flatnonzero(p <= lower).tolist()),
+        normal_matrix=hess, dof=r.size - p.size)

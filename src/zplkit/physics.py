@@ -52,19 +52,14 @@ def bose_einstein(energy, temperature):
 
 
 def _reduced_integrand(x):
-    # x^2 e^x/(e^x - 1)^2, with its x -> 0 limit of 1 and the asymptote
-    # x^2 e^-x beyond x = 350 (keeps expm1(x)^2 finite on the exact branch;
-    # the switch error is ~e^-350).  The (x/expm1(x))^2 form avoids
-    # underflow of x^2 for tiny arguments.
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    large = x > 350.0
-    mid = (x > 0) & ~large
-    e = np.expm1(x[mid])
-    ratio = x[mid] / e
-    out[mid] = ratio * ratio * (e + 1.0)
-    out[large] = x[large] ** 2 * np.exp(-x[large])
-    return out
+    # x^2 e^x/(e^x - 1)^2 on [0, _TAIL_CUTOFF].  The (x/expm1(x))^2 form
+    # avoids underflow of x^2 for tiny arguments.  x = 0 is read as the
+    # smallest subnormal, where expm1(x) = x: its limit of 1 exactly, with
+    # no 0/0.
+    x = np.maximum(x, 5e-324)
+    e = np.expm1(x)
+    ratio = x / e
+    return ratio * ratio * (e + 1.0)
 
 
 # Far above the ~280 limits a `series --curves-dir` run needs, so no key is

@@ -66,13 +66,20 @@ def test_fit_command_classifies_hot_spectrum(synth_dir):
     assert "lorentzian" in result.stdout
 
 
-def test_series_command_full_pipeline(synth_dir):
-    manifest = synth_dir / "series" / "series.json"
-    out = synth_dir / "record.json"
-    curves = synth_dir / "curves"
-    result = run_cli("series", str(manifest), "--output", str(out),
-                     "--curves-dir", str(curves))
+@pytest.fixture(scope="module")
+def series_record(synth_dir):
+    """The record and curves `series` writes for the synthetic series."""
+    result = run_cli("series", str(synth_dir / "series" / "series.json"),
+                     "--output", str(synth_dir / "record.json"),
+                     "--curves-dir", str(synth_dir / "curves"))
     assert result.returncode == 0, result.stderr
+    return synth_dir / "record.json"
+
+
+def test_series_command_full_pipeline(synth_dir, series_record):
+    manifest = synth_dir / "series" / "series.json"
+    out = series_record
+    curves = synth_dir / "curves"
     record = json.loads(out.read_text())
     assert record["best_model"] == "acoustic_debye"
     assert abs(record["gaussian_floor_meV"] - 0.72) / 0.72 < 0.05
@@ -117,8 +124,8 @@ def test_series_low_range_models_indistinguishable(tmp_path):
     assert models["acoustic_debye"]["delta_aic"] < 2.0
 
 
-def test_compare_command_on_record_and_table(synth_dir, tmp_path):
-    record_path = synth_dir / "record.json"
+def test_compare_command_on_record_and_table(series_record, tmp_path):
+    record_path = series_record
     result = run_cli("compare", str(record_path))
     assert result.returncode == 0
     assert result.stdout.splitlines()[1].startswith("acoustic_debye")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -296,6 +297,34 @@ def test_compare_models_exact_zero_rss_ties():
     assert rows[0].rss == 0.0
     assert rows[0].aic == -math.inf
     assert rows[0].delta_aic == 0.0
+
+
+# fit_voigt uncertainties as they were when every solve formed its
+# covariance eagerly: (center, f_G, f_L, amplitude, baseline)
+_EAGER_UNCERTAINTIES = {
+    "voigt": (0.01782305463937586, 0.5588988174796531, 0.06866270882035873,
+              41.066913956709875, 0.1355679648623392),
+    "gaussian": (0.05508586741463782, 0.11592024604691929, math.inf,
+                 90.65134910387032, 0.28226961168558157),
+}
+
+
+def test_series_fits_skip_the_covariance_voigt_fits_keep_it(monkeypatch):
+    spec, _ = synthetic_voigt_spectrum(1817.0, 0.72, 6.82, peak_snr=30.0,
+                                       seed=3)
+    for mode, expected in _EAGER_UNCERTAINTIES.items():
+        fit = fit_voigt(spec, mode=mode)
+        assert astuple(fit.uncertainties) == pytest.approx(expected, rel=1e-12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series fit formed a covariance")
+
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    rows = compare_models(_acoustic_total_points(), quantity="total",
+                          gaussian_floor=0.72)
+    assert rows[0].kind == "acoustic_debye"
+    with pytest.raises(AssertionError, match="formed a covariance"):
+        fit_voigt(spec)
 
 
 def test_compare_models_scaling_leaves_ranking_unchanged():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from oracles import per_panel_gauss_kronrod
 from zplkit.errors import DomainError, QuadratureError
-from zplkit.numerics import adaptive_gauss_kronrod, faddeeva, faddeeva_derivatives
+from zplkit.numerics import (_initial_edges, adaptive_gauss_kronrod, faddeeva,
+                             faddeeva_derivatives)
 from zplkit.physics import _TAIL_CUTOFF, _reduced_integrand
 
 
@@ -141,6 +143,20 @@ def test_batched_quadrature_equals_per_panel_oracle_bit_for_bit():
         reference = per_panel_gauss_kronrod(func, a, b, **kwargs)
         assert _batched(func, a, b, **kwargs) == (
             reference and reference[:2])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(a=_FINITE, b=_FINITE, n=st.sampled_from([1, 4, 8]))
+@example(a=0.0, b=5e-324, n=8)  # the step underflows to 0
+@example(a=1.0, b=1.0 + 2.0 ** -52, n=4)
+def test_initial_edges_are_linspace_bit_for_bit(a, b, n):
+    a, b = min(a, b), max(a, b)
+    with np.errstate(all="ignore"):  # a span past the float range is inf
+        edges = _initial_edges(a, b, n)
+        reference = np.linspace(a, b, n + 1)
+    assert edges.tobytes() == reference.tobytes()
 
 
 def test_quadrature_calls_integrand_once_per_pass():

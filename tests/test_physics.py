@@ -85,6 +85,30 @@ def test_reduced_debye_matches_mpmath():
             assert abs(value - exact) <= err, x
 
 
+def _masked_integrand(x):
+    # the band integrand computed on the x > 0 elements only, the way it
+    # was before it went mask-free: the bit-for-bit reference
+    out = np.ones_like(x)
+    positive = x > 0
+    e = np.expm1(x[positive])
+    ratio = x[positive] / e
+    out[positive] = ratio * ratio * (e + 1.0)
+    return out
+
+
+def test_band_integrand_keeps_its_bits_and_its_limit_at_zero():
+    rng = np.random.default_rng(5)
+    cutoff = physics._TAIL_CUTOFF
+    x = np.concatenate([[0.0, 5e-324, 1e-300, cutoff],
+                        rng.uniform(0.0, cutoff, 10_000),
+                        np.exp(rng.uniform(-700.0, math.log(cutoff), 10_000))])
+    # the CLI's floating-point traps: no 0/0 at x = 0
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        values = physics._reduced_integrand(x)
+    assert values[0] == 1.0
+    assert values.tobytes() == _masked_integrand(x).tobytes()
+
+
 def test_band_integral_cache_is_bounded():
     cached = physics._reduced_debye_cached
     maxsize = cached.cache_info().maxsize
