@@ -28,6 +28,5 @@ from .simulate import (CoherenceTrace, SimulationConfig, analytic_coherence,
                        mc_coherence, simulate_spectrum, spectrum_from_coherence)
 from .io_formats import (SeriesManifest, ManifestEntry,
                          generate_synthetic_series, load_manifest,
-                         load_result_record, load_series, load_spectrum,
-                         save_manifest, save_spectrum, sha256_of_file,
-                         write_result_record)
+                         load_series, load_spectrum, save_manifest,
+                         save_spectrum, write_result_record)

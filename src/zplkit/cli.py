@@ -16,8 +16,7 @@ from .fitting import (analyze_series, classify_lineshape, compare_models,
                       fit_voigt, lorentzian_parts)
 from .io_formats import (_finite, _write_table, generate_synthetic_series,
                          load_linewidths, load_manifest, load_series,
-                         load_spectrum, save_spectrum, sha256_of_file,
-                         write_result_record)
+                         load_spectrum, save_spectrum, write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
 from .physics import MODEL_KINDS, SHAPE_DEFAULTS, check_shape, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
@@ -83,14 +82,11 @@ def _shape(args, fallback=None):
     return shape
 
 
-def _provenance(input_paths, digests=None):
-    """`digests` holds the inputs' SHA-256 hex digests where they are
-    already known from reading them."""
-    if digests is None:
-        digests = [sha256_of_file(p) for p in input_paths]
+def _provenance(inputs):
+    """`inputs`: (path, SHA-256 hex digest of the bytes parsed from it)."""
     return {
         "inputs": {os.path.basename(p): f"sha256:{digest}"
-                   for p, digest in zip(input_paths, digests)},
+                   for p, digest in inputs},
         "seed": None,
         "tool_version": __version__,
     }
@@ -124,7 +120,8 @@ def cmd_fit(args):
                 "rss_lorentzian": classification.fit_lorentzian.rss,
                 "rss_ratio": classification.rss_ratio,
             },
-            "provenance": _provenance([args.spectrum]),
+            "provenance": _provenance([(args.spectrum,
+                                        spectrum.source_sha256)]),
         }, args.output)
         _say(args, f"wrote {args.output}")
     return 0
@@ -144,7 +141,8 @@ def _write_curves(args, result, t_lo, t_hi):
 def cmd_series(args):
     manifest = load_manifest(args.manifest)
     shape = _shape(args, manifest.shape)
-    result = analyze_series(load_series(manifest), quantity=args.quantity,
+    series = load_series(manifest)
+    result = analyze_series(series, quantity=args.quantity,
                             gaussian_floor=args.fix_fg,
                             weighted=not args.unweighted, **shape)
     _say(args, f"temperatures    {len(result.per_temperature)}")
@@ -152,6 +150,7 @@ def cmd_series(args):
     _print_comparison(args, result.comparisons)
     _say(args, f"best_model      {result.best_model}")
     if args.output:
+        spectra = dict(series)  # manifest temperatures are unique
         record = {
             "kind": "series_fit",
             "emitter_id": manifest.emitter_id,
@@ -162,8 +161,9 @@ def cmd_series(args):
             "models": [_model_block(row) for row in result.comparisons],
             "best_model": result.best_model,
             "provenance": _provenance(
-                [args.manifest] + [manifest.resolve(e)
-                                   for e in manifest.entries]),
+                [(args.manifest, manifest.source_sha256)]
+                + [(manifest.resolve(e), spectra[e.temperature].source_sha256)
+                   for e in manifest.entries]),
         }
         write_result_record(record, args.output)
         _say(args, f"wrote {args.output}")
@@ -196,7 +196,7 @@ def cmd_compare(args):
             "gaussian_floor_meV": floor,
             "models": [_model_block(row) for row in rows],
             "best_model": rows[0].kind,
-            "provenance": _provenance([args.input], [digest]),
+            "provenance": _provenance([(args.input, digest)]),
         }, args.output)
         _say(args, f"wrote {args.output}")
     return 0

@@ -34,6 +34,7 @@ class Spectrum:
     intensity: np.ndarray
     temperature: float = 0.0
     emitter_id: str = ""
+    source_sha256: str = ""  # of the file read; empty when built in code
 
     def __post_init__(self):
         energy = np.asarray(self.energy, dtype=float).copy()

@@ -5,7 +5,9 @@ Comma tables have one grammar, one reader and one writer.  numpy parses
 a table's rows; the line parser, the owner of every parse error and its
 line number, takes any body numpy rejects.  Spectra carry 6 significant
 digits (byte-stable under load/save round trips).  Manifests and result
-records are JSON.  Writers are atomic (temp file + rename).
+records are JSON.  Every input is read once, by `_read_text`, and what a
+loader returns carries the SHA-256 of the bytes it parsed.  Writers are
+atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .physics import SHAPE_DEFAULTS
 __all__ = [
     "SPECTRUM_HEADER", "SCHEMA_VERSION", "SeriesManifest", "ManifestEntry",
     "save_spectrum", "load_spectrum", "save_manifest", "load_manifest",
-    "load_series", "write_result_record", "load_result_record",
-    "sha256_of_file", "generate_synthetic_series", "load_linewidths",
+    "load_series", "write_result_record", "generate_synthetic_series",
+    "load_linewidths",
 ]
 
 SPECTRUM_HEADER = "# energy_meV,intensity"
@@ -71,14 +73,19 @@ def _decode(data, path):
 
 
 def _read_text(path):
-    """The whole file as text; bytes that are not UTF-8 are a parse error."""
+    """The whole file as text and the SHA-256 hex digest of the bytes that
+    text was decoded from, from one read: the only place the package opens
+    an input.  Bytes that are not UTF-8 are a parse error."""
     with open(path, "rb") as fh:
-        return _decode(fh.read(), path)
+        data = fh.read()
+    return _decode(data, path), hashlib.sha256(data).hexdigest()
 
 
 def _load_json(path):
+    """A JSON file's value and the SHA-256 hex digest of its bytes."""
     try:
-        return json.loads(_read_text(path))
+        text, digest = _read_text(path)
+        return json.loads(text), digest
     except ValueError as exc:  # also an integer longer than int() converts
         raise ParseError(f"invalid JSON in {path}: {exc}",
                          getattr(exc, "lineno", None)) from None
@@ -197,8 +204,10 @@ def save_spectrum(spectrum, path):
 
 
 def load_spectrum(path, temperature=None, emitter_id=None) -> Spectrum:
-    """Parse a spectrum file; explicit arguments override header comments."""
-    comments, (energies, intensities) = _read_table(_read_text(path))
+    """Parse a spectrum file; explicit arguments override header comments.
+    The spectrum's `source_sha256` is the digest of the bytes parsed."""
+    text, digest = _read_text(path)
+    comments, (energies, intensities) = _read_table(text)
     value, line_number = comments.get("temperature_K", ("0", None))
     try:
         meta_temperature = float(value)
@@ -209,7 +218,8 @@ def load_spectrum(path, temperature=None, emitter_id=None) -> Spectrum:
         return Spectrum(
             energy=energies, intensity=intensities,
             temperature=meta_temperature if temperature is None else temperature,
-            emitter_id=meta_emitter if emitter_id is None else emitter_id)
+            emitter_id=meta_emitter if emitter_id is None else emitter_id,
+            source_sha256=digest)
     except DomainError as exc:
         raise ParseError(f"invalid spectrum in {path}: {exc}") from exc
 
@@ -230,6 +240,7 @@ class SeriesManifest:
     entries: tuple
     shape: dict | None = None  # {name: value}; missing or None: default
     base_dir: str = "."
+    source_sha256: str = ""  # of the file read; empty when built in code
 
     def __post_init__(self):
         given = self.shape or {}
@@ -261,7 +272,7 @@ def save_manifest(manifest, path):
 
 def load_manifest(path) -> SeriesManifest:
     """Read a series manifest; a shape key left out takes its default."""
-    doc = _load_json(path)
+    doc, digest = _load_json(path)
     where = f"manifest {path}: "
     if not isinstance(doc, dict):
         raise ParseError(f"{where}not a JSON object")
@@ -284,7 +295,8 @@ def load_manifest(path) -> SeriesManifest:
             entries=tuple(entries),
             shape={name: _json_field(meta, key, f"{where}metadata.")
                    for name, key in _MANIFEST_KEYS.items() if key in meta},
-            base_dir=os.path.dirname(os.path.abspath(path)))
+            base_dir=os.path.dirname(os.path.abspath(path)),
+            source_sha256=digest)
     except DomainError as exc:  # temperatures not positive or not unique
         raise ParseError(f"malformed manifest {path}: {exc}") from exc
     for entry in manifest.entries:
@@ -324,10 +336,6 @@ def write_result_record(record, path):
     _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_result_record(path):
-    return _load_json(path)
-
-
 def load_linewidths(path, quantity):
     """(T, linewidth) pairs, a Gaussian floor and the SHA-256 hex digest of
     the file, from one read: a result record's total FWHMs and its floor,
@@ -338,9 +346,7 @@ def load_linewidths(path, quantity):
     Lorentzian one non-negative: fits of pure Gaussian lines report f_L on
     its bound of zero.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    text = _decode(data, path)
+    text, digest = _read_text(path)
     try:
         record = json.loads(text)
     except (ValueError, RecursionError):  # not JSON: a table
@@ -366,15 +372,7 @@ def load_linewidths(path, quantity):
         if width < 0 or (quantity == "total" and width == 0):
             raise ParseError(f"invalid {quantity} linewidth {width!r} at "
                              f"{t!r} K in {path}")
-    return points, floor, hashlib.sha256(data).hexdigest()
-
-
-def sha256_of_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    return points, floor, digest
 
 
 def _synthetic_grid(center, total_fwhm, n_points):

@@ -170,10 +170,10 @@ def spectrum_from_coherence(trace, center) -> Spectrum:
     padded[:n] = g
     padded[m - n + 1:] = np.conj(g[1:])[::-1]
     raw = (dt * np.fft.fft(padded)).real
-    omega = 2.0 * np.pi * np.fft.fftfreq(m, d=dt)
-    order = np.argsort(omega)
-    energy = center + HBAR_MEV_PS * omega[order]
-    intensity = np.clip(raw[order], 0.0, None)
+    # m is even, so fftshift puts the frequencies in ascending order
+    omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, d=dt))
+    energy = center + HBAR_MEV_PS * omega
+    intensity = np.clip(np.fft.fftshift(raw), 0.0, None)
     area = np.trapezoid(intensity, energy)
     if not area > 0:
         raise DomainError("transformed spectrum has no positive weight")

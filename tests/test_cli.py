@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import zplkit
 from oracles import synthetic_voigt_spectrum
-from zplkit import cli, fitting, simulate
+from zplkit import cli, fitting, io_formats, simulate
 from zplkit.cli import main
 from zplkit.errors import FitError, InsufficientDecayError, ZplkitError
 from zplkit.io_formats import (generate_synthetic_series, load_manifest,
@@ -783,3 +785,74 @@ def test_synth_reports_the_points_it_wrote(tmp_path, n_points):
               else f"{min(rows)}-{max(rows)}")
     assert out.splitlines()[0] == (f"wrote 14 spectra ({counts} points) "
                                    f"under {tmp_path}")
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_each_command_opens_each_input_once(synth_dir, tmp_path,
+                                            monkeypatch):
+    # `open` is counted where the package reads files, as the perfbench
+    # tracer counts it
+    reads = {}
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and "+" not in mode:
+            path = os.path.realpath(file)
+            reads[path] = reads.get(path, 0) + 1
+        return open(file, mode, *args, **kwargs)
+
+    for module in (cli, io_formats):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    series = synth_dir / "series"
+    record, spectrum = tmp_path / "record.json", series / "spectrum_00_10K.csv"
+    runs = [(["series", str(series / "series.json"), "--output", str(record),
+              "--curves-dir", str(tmp_path / "curves")],
+             [series / "series.json", *series.glob("*.csv")]),
+            (["fit", str(spectrum), "--output", str(tmp_path / "fit.json")],
+             [spectrum]),
+            (["compare", str(record), "--output", str(tmp_path / "c.json")],
+             [record])]
+    for argv, inputs in runs:
+        reads.clear()
+        code, _, err = _run_in_process(argv + ["--quiet"])
+        assert code == 0, err
+        assert reads == {os.path.realpath(p): 1 for p in inputs}, argv[0]
+    assert len(runs[0][1]) == 15
+
+
+def test_provenance_hashes_the_bytes_that_were_parsed(synth_dir, tmp_path,
+                                                      monkeypatch):
+    # each input grows by a blank line right after it is read; a record
+    # still names the digests of the bytes the command analysed
+    series = tmp_path / "series"
+    shutil.copytree(synth_dir / "series", series)
+    decode = io_formats._decode
+
+    def decode_then_rewrite(data, path):
+        text = decode(data, path)
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+        return text
+
+    monkeypatch.setattr(io_formats, "_decode", decode_then_rewrite)
+    record = series / "record.json"  # written by series, read by compare
+    spectra = sorted(p.name for p in series.glob("*.csv"))
+    runs = [(["series", str(series / "series.json"), "--output", str(record)],
+             ["series.json", *spectra]),
+            (["fit", str(series / spectra[0]), "--output",
+              str(tmp_path / "fit.json")], [spectra[0]]),
+            (["compare", str(record), "--output", str(tmp_path / "c.json")],
+             ["record.json"])]
+    for argv, names in runs:
+        parsed = {name: _sha256(series / name) for name in names}
+        code, _, err = _run_in_process(argv + ["--quiet"])
+        assert code == 0, err
+        assert all(_sha256(series / name) != parsed[name] for name in names)
+        output = argv[argv.index("--output") + 1]
+        with open(output, encoding="utf-8") as fh:
+            inputs = json.load(fh)["provenance"]["inputs"]
+        assert inputs == {name: f"sha256:{digest}"
+                          for name, digest in parsed.items()}, argv[0]

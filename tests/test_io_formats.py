@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -9,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import synthetic_voigt_spectrum
 from zplkit import io_formats
 from zplkit.errors import DomainError, FormatError, ParseError
-from zplkit.fitting import fit_voigt
+from zplkit.fitting import Spectrum, fit_voigt
 from zplkit.io_formats import (ManifestEntry, SeriesManifest,
                                generate_synthetic_series, load_linewidths,
-                               load_manifest, load_result_record, load_series,
-                               load_spectrum, save_manifest, save_spectrum,
-                               sha256_of_file, write_result_record)
+                               load_manifest, load_series, load_spectrum,
+                               save_manifest, save_spectrum,
+                               write_result_record)
 from zplkit.physics import AcousticDebye
 
 
@@ -220,9 +221,9 @@ def test_fast_table_reader_matches_line_parser(text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         fast = _table_outcome(lambda p: io_formats._read_table(
-            io_formats._read_text(p)), path)
+            io_formats._read_text(p)[0]), path)
         slow = _table_outcome(lambda p: io_formats._parse_table(
-            io_formats._read_text(p).split("\n")), path)
+            io_formats._read_text(p)[0].split("\n")), path)
     assert fast == slow
 
 
@@ -271,7 +272,7 @@ def test_result_record_round_trip_and_rounding(tmp_path):
     path = tmp_path / "r.json"
     write_result_record(record, path)
     first = path.read_bytes()
-    loaded = load_result_record(path)
+    loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["schema_version"] == 1
     assert loaded["value"] == float(f"{0.123456789012345678:.12g}")
     write_result_record(loaded, path)
@@ -363,8 +364,20 @@ def test_generate_is_deterministic(tmp_path):
             != open(m3.resolve(m3.entries[0]), "rb").read())
 
 
-def test_sha256_of_file(tmp_path):
-    path = tmp_path / "x"
-    path.write_bytes(b"abc")
-    assert sha256_of_file(path) == (
-        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+def test_loaders_carry_the_digest_of_the_bytes_they_parsed(tmp_path):
+    def sha256(path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    manifest_path, _ = generate_synthetic_series(
+        tmp_path, AcousticDebye(amplitude=6.82), temperatures=(10.0, 30.0),
+        n_points=41, seed=3)
+    manifest = load_manifest(manifest_path)
+    assert manifest.source_sha256 == sha256(manifest_path)
+    for entry, (_, spectrum) in zip(manifest.entries, load_series(manifest)):
+        assert spectrum.source_sha256 == sha256(manifest.resolve(entry))
+    table = tmp_path / "widths.csv"
+    table.write_bytes(b"10,0.8\r\n30,0.9\r\n")
+    assert load_linewidths(table, "total")[2] == sha256(table)
+    # objects built in code read no file and carry no digest
+    assert SeriesManifest("x", manifest.entries).source_sha256 == ""
+    assert Spectrum(spectrum.energy, spectrum.intensity).source_sha256 == ""

@@ -96,6 +96,27 @@ def test_spectrum_from_coherence_degenerate_limits():
     assert np.all(spec.intensity >= 0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 101, 1801])
+def test_spectrum_from_coherence_is_the_argsort_ordered_transform(n):
+    # the padded length is even, so fftshift gives the ascending order a
+    # sort of the frequencies gives
+    t = np.arange(n) * 0.01
+    trace = analytic_coherence(0.0, 20.0 / t[-1], t)
+    spec = spectrum_from_coherence(trace, 1800.0)
+    m = 16 * n
+    padded = np.zeros(m, dtype=complex)
+    padded[:n] = trace.g
+    padded[m - n + 1:] = np.conj(trace.g[1:])[::-1]
+    raw = (0.01 * np.fft.fft(padded)).real
+    omega = 2.0 * np.pi * np.fft.fftfreq(m, d=0.01)
+    order = np.argsort(omega)
+    energy = 1800.0 + HBAR_MEV_PS * omega[order]
+    intensity = np.clip(raw[order], 0.0, None)
+    assert np.array_equal(spec.energy, energy)
+    assert np.array_equal(spec.intensity,
+                          intensity / np.trapezoid(intensity, energy))
+
+
 def test_spectrum_from_coherence_requires_decay():
     t = np.linspace(0.0, 1.0, 51)
     with pytest.raises(InsufficientDecayError):
