@@ -57,7 +57,7 @@ def _fit_block(temperature, fit):
         "rss": fit.rss,
         "n_points": fit.n_points,
         "n_iterations": fit.n_iterations,
-        "converged": fit.converged,
+        "converged": True,  # a fit that does not converge raises
         "mode": fit.mode,
     }
 
@@ -229,10 +229,11 @@ def cmd_synth(args):
         raise ConfigError(f"--t-step {args.t_step:g} gives more than "
                           f"{_MAX_SYNTH_TEMPERATURES} temperatures")
     shape = _shape(args)
-    model = make_model(args.model, args.amplitude, **shape)
+    model = make_model(args.model, args.amplitude, gaussian_floor=args.fg,
+                       **shape)
     temperatures = np.arange(args.t_start, t_stop, args.t_step)
     manifest_path, sizes = generate_synthetic_series(
-        args.out_dir, model, shape=shape, gaussian_floor=args.fg,
+        args.out_dir, model, shape=shape,
         temperatures=temperatures, peak_snr=args.snr,
         n_points=args.n_points, seed=args.seed, emitter_id=args.emitter_id)
     counts = (f"{min(sizes)}" if min(sizes) == max(sizes)

@@ -71,13 +71,12 @@ class VoigtFit:
     uncertainties: VoigtParams
     rss: float
     n_points: int
-    converged: bool
     n_iterations: int
     mode: str = "voigt"
 
     @property
     def total_fwhm(self):
-        return voigt_fwhm(self.params.gaussian_fwhm, self.params.lorentzian_fwhm)
+        return self.params.total_fwhm
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,7 @@ def fit_voigt(spectrum, init: Optional[VoigtParams] = None, weighted=True,
         params=VoigtParams(center, f_g, f_l, amplitude, baseline),
         uncertainties=VoigtParams(sd[0], errs["gaussian"],
                                   errs["lorentzian"], sd[-2], sd[-1]),
-        rss=result.rss, n_points=spectrum.n_points, converged=True,
+        rss=result.rss, n_points=spectrum.n_points,
         n_iterations=result.n_iterations, mode=mode)
 
 
@@ -291,10 +290,11 @@ def classify_lineshape(spectrum, weighted=True) -> LineshapeClassification:
     """Pure-Gaussian vs pure-Lorentzian fit comparison.
 
     Returns the lower-RSS class when the RSS ratio exceeds 1.2, otherwise
-    "ambiguous".
+    "ambiguous".  Both fits start from one initial guess.
     """
-    fit_g = fit_voigt(spectrum, weighted=weighted, mode="gaussian")
-    fit_l = fit_voigt(spectrum, weighted=weighted, mode="lorentzian")
+    init = _initial_guess(spectrum)
+    fit_g = fit_voigt(spectrum, init, weighted=weighted, mode="gaussian")
+    fit_l = fit_voigt(spectrum, init, weighted=weighted, mode="lorentzian")
     low = min(fit_g.rss, fit_l.rss)
     high = max(fit_g.rss, fit_l.rss)
     ratio = high / max(low, 5e-324)
@@ -306,13 +306,12 @@ def classify_lineshape(spectrum, weighted=True) -> LineshapeClassification:
                                    fit_gaussian=fit_g, fit_lorentzian=fit_l)
 
 
-def extract_components(fits: Sequence[tuple]):
-    """Split per-temperature fits into a Gaussian floor and Lorentzian widths.
+def extract_components(fits: Sequence[tuple]) -> float:
+    """The Gaussian floor shared by per-temperature fits.
 
-    `fits` is a sequence of (temperature, VoigtFit).  A single
-    inverse-variance-weighted Gaussian floor is shared by all fits, and each
-    Lorentzian component is recomputed from the fit's total FWHM under it.
-    Returns (floor, [(T, f_L), ...]).
+    `fits` is a sequence of (temperature, VoigtFit).  Returns the
+    inverse-variance-weighted mean of their Gaussian FWHMs; the Lorentzian
+    components under it are `lorentzian_parts` of the total FWHMs.
     """
     if len(fits) < 3:
         raise InsufficientDataError(
@@ -332,8 +331,7 @@ def extract_components(fits: Sequence[tuple]):
     if not weights.sum() > 0:
         raise InsufficientDataError(
             "no fit constrains the Gaussian component")
-    floor = float((weights * fg).sum() / weights.sum())
-    return floor, lorentzian_parts(zip(temps, totals), floor)
+    return float((weights * fg).sum() / weights.sum())
 
 
 def lorentzian_parts(totals, floor):
@@ -471,8 +469,8 @@ def analyze_series(series, *, quantity="total", gaussian_floor=None,
         raise DomainError(f"unknown quantity {quantity!r}")
     ordered = sorted(series, key=lambda ts: ts[0])
     fits = tuple((t, fit_voigt(s, weighted=weighted)) for t, s in ordered)
-    floor_est, _ = extract_components(fits)
-    floor = floor_est if gaussian_floor is None else float(gaussian_floor)
+    floor = (extract_components(fits) if gaussian_floor is None
+             else float(gaussian_floor))
     points = [(t, f.total_fwhm) for t, f in fits]
     if quantity == "lorentzian":
         points = lorentzian_parts(points, floor)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .fitting import Spectrum
-from .lineshape import VoigtParams, voigt_fwhm, voigt_profile
+from .lineshape import VoigtParams, voigt_profile
 from .physics import SHAPE_DEFAULTS
 
 __all__ = [
@@ -388,25 +388,25 @@ def _synthetic_grid(center, total_fwhm, n_points):
 
 
 def generate_synthetic_series(out_dir, model, *, shape=None,
-                              gaussian_floor=0.72,
                               temperatures=DEFAULT_TEMPERATURES, peak_snr=30.0,
                               n_points=1001, emitter_id="synthetic", seed=0):
     """Write one spectrum file per temperature plus the manifest
     `series.json`; returns the manifest path and the number of points of
     each spectrum, in temperature order.
 
-    The Lorentzian FWHM follows `model`, the Gaussian FWHM is the constant
-    `gaussian_floor`, and the line center drifts linearly from 1820.2 meV
-    to 1813.5 meV across the temperature range, on a zero baseline.  Peak
-    intensity is peak_snr**2 counts with Poisson noise (peak_snr = 0 writes
-    noiseless profiles; at most 1e9).  Each spectrum spans the center
-    +- max(8 total FWHM, 3 meV) with at most `n_points` points: the step
-    is rounded up to whole 0.01 meV, so a narrow line gets fewer (577 of
-    the default 1001 for the 10 K line of the `synth` defaults).
-    The manifest records the shape parameters `shape` gives ({name: value,
-    None for the default}), or the model's own.  Deterministic for a fixed
-    seed.  Every spectrum is computed before the first file is written, so
-    invalid input leaves no file behind.
+    Both FWHMs follow `model`: its Lorentzian FWHM at each temperature
+    over its constant `gaussian_floor`.  The line center drifts linearly
+    from 1820.2 meV to 1813.5 meV across the temperature range, on a zero
+    baseline.  Peak intensity is peak_snr**2 counts with Poisson noise
+    (peak_snr = 0 writes noiseless profiles; at most 1e9).  Each spectrum
+    spans the center +- max(8 total FWHM, 3 meV) with at most `n_points`
+    points: the step is rounded up to whole 0.01 meV, so a narrow line gets
+    fewer (577 of the default 1001 for the 10 K line of the `synth`
+    defaults).  The manifest records the model's own shape parameters and,
+    for the others, those `shape` gives ({name: value, None for the
+    default}).  Deterministic for a fixed seed.  Every spectrum is computed
+    before the first file is written, so invalid input leaves no file
+    behind.
     """
     temperatures = sorted(float(t) for t in temperatures)
     if len(temperatures) < 1:
@@ -424,7 +424,7 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
         emitter_id=emitter_id, base_dir=os.fspath(out_dir),
         entries=tuple(ManifestEntry(t, f"spectrum_{index:02d}_{t:g}K.csv")
                       for index, t in enumerate(temperatures)),
-        shape=shape or model.shape_values())
+        shape={**(shape or {}), **model.shape_values()})
     t_lo, t_hi = temperatures[0], temperatures[-1]
     span = t_hi - t_lo
     spectra = []
@@ -432,9 +432,8 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
         frac = (temperature - t_lo) / span if span > 0 else 0.0
         center = 1820.2 + frac * (1813.5 - 1820.2)
         f_l = model.lorentzian_fwhm(temperature)
-        f_v = voigt_fwhm(gaussian_floor, f_l)
-        params = VoigtParams(center, gaussian_floor, f_l, amplitude=1.0)
-        energy = _synthetic_grid(center, f_v, n_points)
+        params = VoigtParams(center, model.gaussian_floor, f_l, amplitude=1.0)
+        energy = _synthetic_grid(center, params.total_fwhm, n_points)
         peak_density = voigt_profile(0.0, params.sigma, params.gamma)
         # the Faddeeva series dips ~1e-15 below zero in far Gaussian tails
         intensity = peak_counts / peak_density * np.maximum(voigt_profile(

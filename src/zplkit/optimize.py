@@ -144,44 +144,42 @@ def least_squares(residual, jacobian, p0, lower=None):
             step = np.linalg.solve(damped, rhs)
         except np.linalg.LinAlgError:
             step = np.full(p.size, np.nan)
-        if not np.all(np.isfinite(step)):
-            n_rejected += 1
-            lam *= growth
-            growth *= 2.0
-            if lam > _LAMBDA_MAX:
+        singular = not np.all(np.isfinite(step))
+        if not singular:
+            if float(np.linalg.norm(step)) < _STEP_TOL:
+                reason = "step_tol"
+                break
+            p_try = project(p + step)
+            h = p_try - p  # the projected step, for the predicted decrease
+            r_try = np.asarray(residual(p_try), dtype=float)
+            rss_try = float(r_try @ r_try)
+            if np.isfinite(rss_try) and rss_try <= rss:
+                n_accepted += 1
+                drop = rss - rss_try
+                # decrease the linear model predicts for the projected step
+                predicted = -float(h @ (2.0 * grad + hess @ h))
+                gain = drop / predicted if predicted > 0 else 1.0
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                lam = max(lam, 1e-15)
+                growth = 2.0
+                p, r, rss = p_try, r_try, rss_try
+                grad, hess, scale = linearize(p, r)
+                if drop <= _RSS_RTOL * max(rss, 1e-300):
+                    reason = "rss_rtol"
+                    break
+                continue
+        # a failed trial: no finite step, or one that does not lower the RSS
+        n_rejected += 1
+        lam *= growth
+        growth *= 2.0
+        if lam > _LAMBDA_MAX:
+            if singular:
                 raise IllConditionedError(
                     "normal equations stay singular at maximal damping")
-            continue
-        if float(np.linalg.norm(step)) < _STEP_TOL:
-            reason = "step_tol"
+            # no descent direction even under maximal damping:
+            # stationary to floating-point precision
+            reason = "lambda_max"
             break
-        p_try = project(p + step)
-        h = p_try - p  # the projected step, for the predicted decrease
-        r_try = np.asarray(residual(p_try), dtype=float)
-        rss_try = float(r_try @ r_try)
-        if np.isfinite(rss_try) and rss_try <= rss:
-            n_accepted += 1
-            drop = rss - rss_try
-            # decrease the linear model predicts for the projected step
-            predicted = -float(h @ (2.0 * grad + hess @ h))
-            gain = drop / predicted if predicted > 0 else 1.0
-            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            lam = max(lam, 1e-15)
-            growth = 2.0
-            p, r, rss = p_try, r_try, rss_try
-            grad, hess, scale = linearize(p, r)
-            if drop <= _RSS_RTOL * max(rss, 1e-300):
-                reason = "rss_rtol"
-                break
-        else:
-            n_rejected += 1
-            lam *= growth
-            growth *= 2.0
-            if lam > _LAMBDA_MAX:
-                # no descent direction even under maximal damping:
-                # stationary to floating-point precision
-                reason = "lambda_max"
-                break
 
     return LeastSquaresResult(
         params=p, rss=rss, n_iterations=iteration, reason=reason,

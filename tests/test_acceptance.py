@@ -114,10 +114,10 @@ def test_criterion_4_cubic_vs_finite_band_separation():
 
 
 def test_criterion_5_synthetic_series_end_to_end(tmp_path):
-    model = AcousticDebye(amplitude=6.82, debye_temperature=600.0)
+    model = AcousticDebye(amplitude=6.82, debye_temperature=600.0,
+                          gaussian_floor=0.72)
     manifest_path, _ = generate_synthetic_series(
-        tmp_path / "series", model, gaussian_floor=0.72, peak_snr=30.0,
-        seed=20260808)
+        tmp_path / "series", model, peak_snr=30.0, seed=20260808)
     series = load_series(load_manifest(manifest_path))
     result = analyze_series(series)
     acoustic = next(c for c in result.comparisons
@@ -251,7 +251,8 @@ def test_criterion_8_fit_engine_integrity():
 
 
 def test_criterion_9_format_stability(tmp_path):
-    model = AcousticDebye(amplitude=6.82, debye_temperature=600.0)
+    model = AcousticDebye(amplitude=6.82, debye_temperature=600.0,
+                          gaussian_floor=0.72)
     path_a, _ = generate_synthetic_series(tmp_path / "a", model, seed=99)
     path_b, _ = generate_synthetic_series(tmp_path / "b", model, seed=99)
     manifest_a, manifest_b = load_manifest(path_a), load_manifest(path_b)

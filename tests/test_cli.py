@@ -192,6 +192,17 @@ def test_readme_names_resolve_on_the_package():
             obj = getattr(obj, name)
 
 
+def test_readme_api_sketch_runs(tmp_path, monkeypatch):
+    with open(os.path.join(os.path.dirname(SRC), "README.md"),
+              encoding="utf-8") as fh:
+        sketch = re.search(r"## Python API sketch\n\n```python\n(.*?)```",
+                           fh.read(), re.S)
+    assert sketch
+    monkeypatch.chdir(tmp_path)
+    exec(compile(sketch.group(1), "README.md", "exec"), {})
+    assert (tmp_path / "demo" / "series.json").exists()
+
+
 def test_cli_import_does_not_load_the_thread_pool():
     # mc_coherence imports concurrent.futures itself: at module level the
     # import would add several ms to every command's start-up
@@ -364,7 +375,8 @@ def test_exit_codes(tmp_path, monkeypatch):
     # a manifest shape parameter beyond float range: json writes inf as
     # Infinity, and reads 1e400 as inf
     generate_synthetic_series(tmp_path / "wide",
-                              make_model("acoustic_debye", 6.82),
+                              make_model("acoustic_debye", 6.82,
+                                         gaussian_floor=0.72),
                               temperatures=(10.0, 90.0, 170.0), n_points=201)
     series = tmp_path / "wide" / "series.json"
     doc = json.loads(series.read_text())
@@ -521,7 +533,7 @@ def json_inputs(tmp_path_factory):
     and their documents; series and compare read both without error."""
     root = tmp_path_factory.mktemp("json")
     manifest, _ = generate_synthetic_series(
-        root, make_model("acoustic_debye", 6.82),
+        root, make_model("acoustic_debye", 6.82, gaussian_floor=0.72),
         temperatures=(10.0, 90.0, 170.0, 250.0), n_points=101, seed=5)
     record = {"gaussian_floor_meV": 0.72, "per_temperature": [
         {"temperature_K": t, "total_fwhm_meV": w}
@@ -821,6 +833,22 @@ def test_each_command_opens_each_input_once(synth_dir, tmp_path,
         assert code == 0, err
         assert reads == {os.path.realpath(p): 1 for p in inputs}, argv[0]
     assert len(runs[0][1]) == 15
+
+
+def test_fit_computes_two_initial_guesses(synth_dir, monkeypatch):
+    # one for the free Voigt fit, one shared by both restricted fits
+    guess = fitting._initial_guess
+    calls = []
+
+    def counted(spectrum):
+        calls.append(spectrum)
+        return guess(spectrum)
+
+    monkeypatch.setattr(fitting, "_initial_guess", counted)
+    code, _, err = _run_in_process(
+        ["fit", str(synth_dir / "series" / "spectrum_00_10K.csv"), "--quiet"])
+    assert code == 0, err
+    assert len(calls) == 2
 
 
 def test_provenance_hashes_the_bytes_that_were_parsed(synth_dir, tmp_path,

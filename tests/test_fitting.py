@@ -63,7 +63,6 @@ def test_fit_recovers_noiseless_gaussian():
     assert abs(fit.params.gaussian_fwhm - 0.72) < 1e-6
     assert fit.params.lorentzian_fwhm < 1e-6
     assert fit.params.amplitude == pytest.approx(amplitude, rel=1e-6)
-    assert fit.converged
     # the pure shape ends exactly on the f_L >= 0 bound, fast
     assert fit.params.lorentzian_fwhm == 0.0
     assert fit.uncertainties.lorentzian_fwhm == math.inf
@@ -162,6 +161,27 @@ def test_classify_equal_component_voigt_prefers_lorentzian():
     assert result.rss_ratio > 1.2
 
 
+def test_classify_starts_both_fits_from_one_guess(monkeypatch):
+    spec, _ = synthetic_voigt_spectrum(1800.0, 1.0, 0.45, n_points=201,
+                                       peak_snr=30.0, seed=2)
+    guess = fitting._initial_guess
+    calls = []
+
+    def counted(spectrum):
+        calls.append(spectrum)
+        return guess(spectrum)
+
+    monkeypatch.setattr(fitting, "_initial_guess", counted)
+    result = classify_lineshape(spec)
+    assert len(calls) == 1
+    # the shared start changes no bit of either restricted fit
+    assert astuple(result.fit_gaussian) == astuple(
+        fit_voigt(spec, mode="gaussian"))
+    assert astuple(result.fit_lorentzian) == astuple(
+        fit_voigt(spec, mode="lorentzian"))
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # component extraction
 # ---------------------------------------------------------------------------
@@ -179,8 +199,10 @@ def _fit_paper_series(peak_snr, seed, floor=0.72):
 
 def test_extract_components_recovers_constant_floor():
     fits = _fit_paper_series(peak_snr=30.0, seed=4)
-    floor, pairs = extract_components(fits)
+    floor = extract_components(fits)
+    assert isinstance(floor, float)
     assert abs(floor - 0.72) / 0.72 < 0.05
+    pairs = lorentzian_parts([(t, f.total_fwhm) for t, f in fits], floor)
     assert len(pairs) == len(SERIES_GRID)
     assert all(f_l >= 0 for _, f_l in pairs)
 
@@ -191,29 +213,30 @@ def test_extract_components_zero_lorentzian_series():
         spec, _ = synthetic_voigt_spectrum(1820.0, 0.72, 0.0, temperature=t,
                                            peak_snr=30.0, seed=index)
         fits.append((t, fit_voigt(spec)))
-    floor, pairs = extract_components(fits)
+    floor = extract_components(fits)
+    pairs = lorentzian_parts([(t, f.total_fwhm) for t, f in fits], floor)
     assert all(f_l < 0.05 for _, f_l in pairs)  # below the noise floor
 
 
 def test_extract_components_ignores_a_pinned_floor(tmp_path):
     # seed 5's 270 K spectrum fits with f_G on its bound: that fit says
     # nothing about the floor and must carry no weight in it
-    path, _ = generate_synthetic_series(tmp_path, AcousticDebye(6.82, 600.0),
-                                        seed=5)
+    path, _ = generate_synthetic_series(
+        tmp_path, AcousticDebye(6.82, 600.0, gaussian_floor=0.72), seed=5)
     fits = [(t, fit_voigt(s)) for t, s in load_series(load_manifest(path))]
     hot = fits[-1][1]
     assert fits[-1][0] == 270.0
     assert hot.params.gaussian_fwhm == 0.0
     assert hot.uncertainties.gaussian_fwhm == math.inf
-    floor, _ = extract_components(fits)
-    floor_without, _ = extract_components(fits[:-1])
+    floor = extract_components(fits)
+    floor_without = extract_components(fits[:-1])
     assert floor == pytest.approx(floor_without, rel=1e-12)
     assert abs(floor - 0.72) / 0.72 < 0.05
 
 
 def test_extract_components_free_mode_and_errors():
     fits = _fit_paper_series(peak_snr=0.0, seed=0)
-    floor, _ = extract_components(fits)
+    floor = extract_components(fits)
     assert floor == pytest.approx(0.72, rel=1e-5)
     with pytest.raises(InsufficientDataError):
         extract_components(fits[:1])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import synthetic_voigt_spectrum
 from zplkit import io_formats
 from zplkit.errors import DomainError, FormatError, ParseError
-from zplkit.fitting import Spectrum, fit_voigt
+from zplkit.fitting import Spectrum, extract_components, fit_voigt
 from zplkit.io_formats import (ManifestEntry, SeriesManifest,
                                generate_synthetic_series, load_linewidths,
                                load_manifest, load_series, load_spectrum,
@@ -304,7 +304,7 @@ def test_atomic_write_failure_leaves_target_and_no_temp_file(
 
 
 def test_generate_synthetic_series_default_grid(tmp_path):
-    model = AcousticDebye(6.82, 600.0)
+    model = AcousticDebye(6.82, 600.0, gaussian_floor=0.72)
     manifest_path, sizes = generate_synthetic_series(tmp_path / "out", model,
                                                      seed=1)
     manifest = load_manifest(manifest_path)
@@ -319,9 +319,9 @@ def test_generate_synthetic_series_default_grid(tmp_path):
 
 
 def test_generate_noiseless_round_trip(tmp_path):
-    model = AcousticDebye(6.82, 600.0)
+    model = AcousticDebye(6.82, 600.0, gaussian_floor=0.72)
     manifest_path, _ = generate_synthetic_series(
-        tmp_path / "o", model, gaussian_floor=0.72, peak_snr=0.0,
+        tmp_path / "o", model, peak_snr=0.0,
         temperatures=(10.0, 150.0, 270.0), seed=0)
     series = load_series(load_manifest(manifest_path))
     t, spec = series[2]
@@ -339,8 +339,32 @@ def test_generate_noiseless_round_trip(tmp_path):
     assert fit.params.center == pytest.approx(1813.5, abs=1e-4)
 
 
+def test_generate_takes_the_gaussian_floor_from_the_model(tmp_path):
+    model = AcousticDebye(6.82, 600.0, gaussian_floor=0.2)
+    manifest_path, _ = generate_synthetic_series(
+        tmp_path, model, peak_snr=0.0, temperatures=(10.0, 30.0, 50.0),
+        n_points=401)
+    fits = [(t, fit_voigt(s))
+            for t, s in load_series(load_manifest(manifest_path))]
+    for _, fit in fits:
+        assert fit.params.gaussian_fwhm == pytest.approx(0.2, rel=1e-5)
+    assert extract_components(fits) == pytest.approx(0.2, rel=1e-5)
+
+
+def test_generate_manifest_records_the_model_shape(tmp_path):
+    # a shape mapping that contradicts the model cannot reach the manifest:
+    # a later `series` would fit another Debye temperature than was drawn
+    model = AcousticDebye(6.82, 450.0, gaussian_floor=0.72)
+    manifest_path, _ = generate_synthetic_series(
+        tmp_path, model, shape={"debye_temperature": 800.0,
+                                "phonon_energy": 22.0},
+        temperatures=(10.0, 30.0), n_points=41)
+    assert load_manifest(manifest_path).shape == {
+        "debye_temperature": 450.0, "phonon_energy": 22.0}
+
+
 def test_generate_writes_nothing_for_invalid_temperatures(tmp_path):
-    model = AcousticDebye(6.82, 600.0)
+    model = AcousticDebye(6.82, 600.0, gaussian_floor=0.72)
     for temps in ((10.0, 30.0, 0.0), (10.0, 30.0, 30.0),
                   (10.0, float("nan")), (10.0, float("inf"))):
         out = tmp_path / "out"
@@ -350,7 +374,7 @@ def test_generate_writes_nothing_for_invalid_temperatures(tmp_path):
 
 
 def test_generate_is_deterministic(tmp_path):
-    model = AcousticDebye(6.82, 600.0)
+    model = AcousticDebye(6.82, 600.0, gaussian_floor=0.72)
     p1, _ = generate_synthetic_series(tmp_path / "a", model, seed=42)
     p2, _ = generate_synthetic_series(tmp_path / "b", model, seed=42)
     m1, m2 = load_manifest(p1), load_manifest(p2)
@@ -369,8 +393,8 @@ def test_loaders_carry_the_digest_of_the_bytes_they_parsed(tmp_path):
         return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
     manifest_path, _ = generate_synthetic_series(
-        tmp_path, AcousticDebye(amplitude=6.82), temperatures=(10.0, 30.0),
-        n_points=41, seed=3)
+        tmp_path, AcousticDebye(amplitude=6.82, gaussian_floor=0.72),
+        temperatures=(10.0, 30.0), n_points=41, seed=3)
     manifest = load_manifest(manifest_path)
     assert manifest.source_sha256 == sha256(manifest_path)
     for entry, (_, spectrum) in zip(manifest.entries, load_series(manifest)):

@@ -102,6 +102,38 @@ def test_rejects_nan_start():
         least_squares(residual, lambda p: np.array([[1.0]]), [0.0])
 
 
+def test_singular_normal_equations_raise_at_maximal_damping(monkeypatch):
+    # every solve fails: each failed trial raises the damping, no trial
+    # point is evaluated, and the solver gives up as ill-conditioned
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    calls = []
+
+    def residual(p):
+        calls.append(p.copy())
+        return np.array([p[0] - 1.0])
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(IllConditionedError, match="singular"):
+        least_squares(residual, lambda p: np.array([[1.0]]), [0.0])
+    assert len(calls) == 1  # the start point only
+
+
+def test_no_descent_ends_at_maximal_damping():
+    # a kink at the start: the one-sided derivative points downhill, but
+    # every step raises the residual, so the damping grows until it gives up
+    def residual(p):
+        return np.array([1e6 + abs(p[0])])
+
+    result = least_squares(residual, lambda p: np.array([[1.0]]), [0.0])
+    assert result.reason == "lambda_max"
+    assert result.converged
+    assert result.params[0] == 0.0
+    assert result.n_accepted == 0
+    assert result.n_rejected == result.n_iterations > 0
+
+
 def test_infeasible_trial_steps_are_rejected_not_fatal():
     # residual undefined for p < 0; optimum at p = 0.5
     def residual(p):

@@ -251,9 +251,9 @@ def test_make_model_kinds(tmp_path):
         assert set(block["params"]) == (
             {"amplitude", "gaussian_floor_meV"} | shape_keys[kind])
     # a model without shape parameters still writes both manifest defaults
-    manifest, _ = generate_synthetic_series(tmp_path, CubicLaw(3.5e-7),
-                                            temperatures=(10.0, 30.0),
-                                            n_points=64)
+    manifest, _ = generate_synthetic_series(
+        tmp_path, CubicLaw(3.5e-7, gaussian_floor=0.72),
+        temperatures=(10.0, 30.0), n_points=64)
     with open(manifest, encoding="utf-8") as fh:
         metadata = json.load(fh)["metadata"]
     assert metadata == {"theta_D_K": 600.0, "phonon_energy_meV": 18.0}
