@@ -23,6 +23,7 @@ from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
 
 
 _MAX_SYNTH_TEMPERATURES = 1000  # most spectra one `synth` run may write
+_MAX_CURVE_POINTS = 10_000  # most 1 K-step rows of a `series` curve file
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,10 +38,10 @@ def _say(args, text):
         print(text)
 
 
-def _fit_block(temperature, fit):
+def _fit_block(fit):
     p, u = fit.params, fit.uncertainties
     return {
-        "temperature_K": temperature,
+        "temperature_K": fit.temperature,
         "center_meV": p.center,
         "gaussian_fwhm_meV": p.gaussian_fwhm,
         "lorentzian_fwhm_meV": p.lorentzian_fwhm,
@@ -113,7 +114,7 @@ def cmd_fit(args):
     if args.output:
         write_result_record({
             "kind": "single_fit",
-            "fit": _fit_block(spectrum.temperature, fit),
+            "fit": _fit_block(fit),
             "classification": {
                 "label": classification.label,
                 "rss_gaussian": classification.fit_gaussian.rss,
@@ -127,9 +128,8 @@ def cmd_fit(args):
     return 0
 
 
-def _write_curves(args, result, t_lo, t_hi):
+def _write_curves(args, result, grid):
     os.makedirs(args.curves_dir, exist_ok=True)
-    grid = np.arange(max(1.0, math.floor(t_lo)), math.ceil(t_hi) + 0.5, 1.0)
     for row in result.comparisons:
         path = os.path.join(args.curves_dir, f"curve_{row.kind}.csv")
         f_l = np.array([row.model.lorentzian_fwhm(t) for t in grid])
@@ -142,6 +142,15 @@ def cmd_series(args):
     manifest = load_manifest(args.manifest)
     shape = _shape(args, manifest.shape)
     series = load_series(manifest)
+    if args.curves_dir:  # the curves' 1 K grid, bounded before any fit
+        temps = [s.temperature for s in series]
+        start = max(1.0, math.floor(min(temps, default=1.0)))
+        stop = math.ceil(max(temps, default=0.0)) + 0.5
+        if stop - start > _MAX_CURVE_POINTS:  # np.arange's length
+            raise ConfigError(f"--curves-dir: {min(temps):g} K to "
+                              f"{max(temps):g} K takes more than "
+                              f"{_MAX_CURVE_POINTS} 1 K steps")
+        grid = np.arange(start, stop, 1.0)
     result = analyze_series(series, quantity=args.quantity,
                             gaussian_floor=args.fix_fg,
                             weighted=not args.unweighted, **shape)
@@ -150,26 +159,23 @@ def cmd_series(args):
     _print_comparison(args, result.comparisons)
     _say(args, f"best_model      {result.best_model}")
     if args.output:
-        spectra = dict(series)  # manifest temperatures are unique
         record = {
             "kind": "series_fit",
             "emitter_id": manifest.emitter_id,
             "quantity": args.quantity,
             "gaussian_floor_meV": result.gaussian_floor,
-            "per_temperature": [_fit_block(t, f)
-                                for t, f in result.per_temperature],
+            "per_temperature": [_fit_block(f) for f in result.per_temperature],
             "models": [_model_block(row) for row in result.comparisons],
             "best_model": result.best_model,
             "provenance": _provenance(
                 [(args.manifest, manifest.source_sha256)]
-                + [(manifest.resolve(e), spectra[e.temperature].source_sha256)
-                   for e in manifest.entries]),
+                + [(manifest.resolve(e), s.source_sha256)
+                   for e, s in zip(manifest.entries, series)]),
         }
         write_result_record(record, args.output)
         _say(args, f"wrote {args.output}")
     if args.curves_dir:
-        temps = [t for t, _ in result.per_temperature]
-        _write_curves(args, result, min(temps), max(temps))
+        _write_curves(args, result, grid)
     return 0
 
 

@@ -72,6 +72,7 @@ class VoigtFit:
     rss: float
     n_points: int
     n_iterations: int
+    temperature: float  # the spectrum's
     mode: str = "voigt"
 
     @property
@@ -107,7 +108,7 @@ class ModelComparison(SeriesModelFit):
 
 @dataclass(frozen=True)
 class SeriesFitResult:
-    per_temperature: tuple
+    per_temperature: tuple  # VoigtFits in ascending temperature
     comparisons: tuple
     gaussian_floor: float
 
@@ -282,8 +283,8 @@ def fit_voigt(spectrum, init: Optional[VoigtParams] = None, weighted=True,
         params=VoigtParams(center, f_g, f_l, amplitude, baseline),
         uncertainties=VoigtParams(sd[0], errs["gaussian"],
                                   errs["lorentzian"], sd[-2], sd[-1]),
-        rss=result.rss, n_points=spectrum.n_points,
-        n_iterations=result.n_iterations, mode=mode)
+        rss=result.rss, n_iterations=result.n_iterations, mode=mode,
+        n_points=spectrum.n_points, temperature=spectrum.temperature)
 
 
 def classify_lineshape(spectrum, weighted=True) -> LineshapeClassification:
@@ -306,24 +307,22 @@ def classify_lineshape(spectrum, weighted=True) -> LineshapeClassification:
                                    fit_gaussian=fit_g, fit_lorentzian=fit_l)
 
 
-def extract_components(fits: Sequence[tuple]) -> float:
-    """The Gaussian floor shared by per-temperature fits.
-
-    `fits` is a sequence of (temperature, VoigtFit).  Returns the
-    inverse-variance-weighted mean of their Gaussian FWHMs; the Lorentzian
+def extract_components(fits: Sequence[VoigtFit]) -> float:
+    """The Gaussian floor shared by fits at distinct temperatures: the
+    inverse-variance-weighted mean of their Gaussian FWHMs.  The Lorentzian
     components under it are `lorentzian_parts` of the total FWHMs.
     """
     if len(fits) < 3:
         raise InsufficientDataError(
             f"need >= 3 temperatures, got {len(fits)}")
-    ordered = sorted(fits, key=lambda tf: tf[0])
-    temps = [t for t, _ in ordered]
+    ordered = sorted(fits, key=lambda f: f.temperature)
+    temps = [f.temperature for f in ordered]
     if any(b <= a for a, b in zip(temps, temps[1:])):
         raise DomainError("temperatures must be distinct")
 
-    fg = np.array([f.params.gaussian_fwhm for _, f in ordered])
-    sd = np.array([f.uncertainties.gaussian_fwhm for _, f in ordered])
-    totals = np.array([f.total_fwhm for _, f in ordered])
+    fg = np.array([f.params.gaussian_fwhm for f in ordered])
+    sd = np.array([f.uncertainties.gaussian_fwhm for f in ordered])
+    totals = np.array([f.total_fwhm for f in ordered])
     # relative uncertainty floor keeps noiseless fits equally weighted and
     # drops boundary-pinned components (infinite uncertainty) entirely
     floor_sd = 1e-6 * np.maximum(totals, 1e-12)
@@ -456,9 +455,9 @@ def compare_models(points, kinds=physics.MODEL_KINDS, **fit_kwargs):
             for aic, _, _, fit in rows]
 
 
-def analyze_series(series, *, quantity="total", gaussian_floor=None,
+def analyze_series(spectra, *, quantity="total", gaussian_floor=None,
                    weighted=True, **shape) -> SeriesFitResult:
-    """Full pipeline on (temperature, Spectrum) pairs.
+    """Full pipeline on spectra, each fitted at its own temperature.
 
     Per-spectrum Voigt fits, shared-floor component extraction, then all
     candidate models fitted and ranked on the requested quantity.  Pass
@@ -467,11 +466,11 @@ def analyze_series(series, *, quantity="total", gaussian_floor=None,
     """
     if quantity not in ("total", "lorentzian"):
         raise DomainError(f"unknown quantity {quantity!r}")
-    ordered = sorted(series, key=lambda ts: ts[0])
-    fits = tuple((t, fit_voigt(s, weighted=weighted)) for t, s in ordered)
+    ordered = sorted(spectra, key=lambda s: s.temperature)
+    fits = tuple(fit_voigt(s, weighted=weighted) for s in ordered)
     floor = (extract_components(fits) if gaussian_floor is None
              else float(gaussian_floor))
-    points = [(t, f.total_fwhm) for t, f in fits]
+    points = [(f.temperature, f.total_fwhm) for f in fits]
     if quantity == "lorentzian":
         points = lorentzian_parts(points, floor)
     comparisons = tuple(compare_models(

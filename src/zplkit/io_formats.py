@@ -237,7 +237,7 @@ _MANIFEST_KEYS = {"debye_temperature": "theta_D_K",  # shape: manifest key
 @dataclass(frozen=True)
 class SeriesManifest:
     emitter_id: str
-    entries: tuple
+    entries: tuple  # held in ascending temperature
     shape: dict | None = None  # {name: value}; missing or None: default
     base_dir: str = "."
     source_sha256: str = ""  # of the file read; empty when built in code
@@ -247,6 +247,8 @@ class SeriesManifest:
         object.__setattr__(self, "shape", {
             name: default if given.get(name) is None else given[name]
             for name, default in SHAPE_DEFAULTS.items()})
+        object.__setattr__(self, "entries", tuple(
+            sorted(self.entries, key=lambda e: e.temperature)))
         temps = [e.temperature for e in self.entries]
         if not all(0 < t < math.inf for t in temps):
             raise DomainError("manifest temperatures must be positive "
@@ -262,8 +264,7 @@ def save_manifest(manifest, path):
     doc = {
         "emitter_id": manifest.emitter_id,
         "entries": [{"temperature_K": e.temperature, "path": e.path}
-                    for e in sorted(manifest.entries,
-                                    key=lambda e: e.temperature)],
+                    for e in manifest.entries],
         "metadata": {key: manifest.shape[name]
                      for name, key in _MANIFEST_KEYS.items()},
     }
@@ -307,14 +308,11 @@ def load_manifest(path) -> SeriesManifest:
 
 
 def load_series(manifest):
-    """Load every manifest entry as (temperature, Spectrum), ascending."""
-    pairs = []
-    for entry in sorted(manifest.entries, key=lambda e: e.temperature):
-        spectrum = load_spectrum(manifest.resolve(entry),
-                                 temperature=entry.temperature,
-                                 emitter_id=manifest.emitter_id)
-        pairs.append((entry.temperature, spectrum))
-    return pairs
+    """Each manifest entry's Spectrum, at the entry's temperature, in the
+    manifest's ascending order."""
+    return [load_spectrum(manifest.resolve(e), temperature=e.temperature,
+                          emitter_id=manifest.emitter_id)
+            for e in manifest.entries]
 
 
 def _round_floats(obj):

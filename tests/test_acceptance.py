@@ -126,8 +126,8 @@ def test_criterion_5_synthetic_series_end_to_end(tmp_path):
     floor_ok = abs(result.gaussian_floor - 0.72) / 0.72 < 0.05
     amp_ok = abs(acoustic.model.amplitude - 6.82) / 6.82 < 0.05
     ranked = kinds.index("acoustic_debye") < kinds.index("cubic_law")
-    cold = classify_lineshape(series[0][1]).label
-    hot = classify_lineshape(series[-1][1]).label
+    cold = classify_lineshape(series[0]).label
+    hot = classify_lineshape(series[-1]).label
     _report(5, "pipeline on the 10-270 K grid recovers floor and amplitude "
                "within 5%, ranks the finite-band model first, and "
                "classifies the end-point shapes",

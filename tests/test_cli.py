@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from zplkit.errors import FitError, InsufficientDecayError, ZplkitError
 from zplkit.io_formats import (generate_synthetic_series, load_manifest,
                                save_spectrum)
 from zplkit.fitting import Spectrum
-from zplkit.physics import MODEL_KINDS, make_model
+from zplkit.physics import MODEL_KINDS, AcousticDebye, make_model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -373,15 +374,26 @@ def test_exit_codes(tmp_path, monkeypatch):
         assert result.stderr.startswith("error: parse:")
         assert len(result.stderr.splitlines()) == 1
     # a manifest shape parameter beyond float range: json writes inf as
-    # Infinity, and reads 1e400 as inf
+    # Infinity, and reads 1e400 as inf; and a manifest whose curves' 1 K
+    # grid would run from 10 K to 1e12 K (np.arange asked for 7 TiB once
+    # the record was written)
     generate_synthetic_series(tmp_path / "wide",
                               make_model("acoustic_debye", 6.82,
                                          gaussian_floor=0.72),
                               temperatures=(10.0, 90.0, 170.0), n_points=201)
     series = tmp_path / "wide" / "series.json"
     doc = json.loads(series.read_text())
-    for theta in (float("inf"), "1e400"):
+    theta_error = (f"error: parse: manifest {series}: "
+                   "metadata.theta_D_K must be a finite number")
+    calls = []
+    monkeypatch.setattr(fitting, "fit_voigt",
+                        lambda *a, **k: calls.append(a))
+    for theta, hottest, error in (
+            (float("inf"), 170.0, theta_error), ("1e400", 170.0, theta_error),
+            (600.0, 1e12, "error: parse: --curves-dir: 10 K to 1e+12 K "
+                          "takes more than 10000 1 K steps")):
         doc["metadata"]["theta_D_K"] = theta
+        doc["entries"][-1]["temperature_K"] = hottest
         series.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
         result = run_cli("series", str(series), "--output",
                          str(tmp_path / "rec.json"), "--curves-dir",
@@ -391,16 +403,14 @@ def test_exit_codes(tmp_path, monkeypatch):
         assert len(result.stderr.splitlines()) == 1
         assert not os.path.exists(tmp_path / "rec.json")
         assert not os.path.exists(tmp_path / "curves")
-    # nor does it run one Voigt fit before rejecting that manifest
-    calls = []
-    monkeypatch.setattr(fitting, "fit_voigt",
-                        lambda *a, **k: calls.append(a))
-    code, _, err = _run_in_process(["series", str(series)])
-    assert (code, calls) == (1, [])
-    assert err.startswith(f"error: parse: manifest {series}: "
-                          "metadata.theta_D_K must be a finite number")
+        # nor does it run one Voigt fit before rejecting that manifest
+        code, _, err = _run_in_process(["series", str(series), "--curves-dir",
+                                        str(tmp_path / "curves")])
+        assert (code, calls) == (1, [])
+        assert err.startswith(error)
     # every shape flag is checked, also where the model does not take it
     doc["metadata"]["theta_D_K"] = 600.0
+    doc["entries"][-1]["temperature_K"] = 170.0
     series.write_text(json.dumps(doc))
     for args in (("synth", "--out-dir", out, "--model", "optical_mode",
                   "--theta-d", "-5"),
@@ -833,6 +843,41 @@ def test_each_command_opens_each_input_once(synth_dir, tmp_path,
         assert code == 0, err
         assert reads == {os.path.realpath(p): 1 for p in inputs}, argv[0]
     assert len(runs[0][1]) == 15
+
+
+def test_fit_record_takes_the_temperature_of_the_fit(synth_dir, tmp_path,
+                                                     monkeypatch):
+    # `--temperature` overrides the 10 K header; the record's temperature_K
+    # is the copy of the spectrum's temperature that the fit carries
+    argv = ["fit", str(synth_dir / "series" / "spectrum_00_10K.csv"),
+            "--temperature", "42", "--output", str(tmp_path / "fit.json"),
+            "--quiet"]
+
+    def recorded_temperature():
+        code, _, err = _run_in_process(argv)
+        assert code == 0, err
+        record = json.loads((tmp_path / "fit.json").read_text())
+        return record["fit"]["temperature_K"]
+
+    assert recorded_temperature() == 42.0
+    fit_voigt = cli.fit_voigt
+    monkeypatch.setattr(cli, "fit_voigt", lambda *a, **k: replace(
+        fit_voigt(*a, **k), temperature=43.0))
+    assert recorded_temperature() == 43.0
+
+
+def test_synth_defaults_are_the_library_defaults(tmp_path):
+    # the CLI flags and generate_synthetic_series each carry the SNR, point
+    # count, seed, emitter id and temperature grid: a drift in either copy
+    # changes a written byte
+    code, _, err = _run_in_process(["synth", "--out-dir",
+                                    str(tmp_path / "cli"), "--quiet"])
+    assert code == 0, err
+    generate_synthetic_series(tmp_path / "library",
+                              AcousticDebye(6.82, 600.0, gaussian_floor=0.72))
+    written = _tree(tmp_path / "library")
+    assert len(written) == 15
+    assert _tree(tmp_path / "cli") == written
 
 
 def test_fit_computes_two_initial_guesses(synth_dir, monkeypatch):

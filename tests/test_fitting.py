@@ -193,7 +193,7 @@ def _fit_paper_series(peak_snr, seed, floor=0.72):
         spec, _ = synthetic_voigt_spectrum(
             1820.2 - 6.7 * (t - 10) / 260.0, floor, model.lorentzian_fwhm(t),
             temperature=t, peak_snr=peak_snr, seed=seed * 100 + index)
-        fits.append((t, fit_voigt(spec)))
+        fits.append(fit_voigt(spec))
     return fits
 
 
@@ -202,7 +202,8 @@ def test_extract_components_recovers_constant_floor():
     floor = extract_components(fits)
     assert isinstance(floor, float)
     assert abs(floor - 0.72) / 0.72 < 0.05
-    pairs = lorentzian_parts([(t, f.total_fwhm) for t, f in fits], floor)
+    pairs = lorentzian_parts([(f.temperature, f.total_fwhm) for f in fits],
+                             floor)
     assert len(pairs) == len(SERIES_GRID)
     assert all(f_l >= 0 for _, f_l in pairs)
 
@@ -212,9 +213,10 @@ def test_extract_components_zero_lorentzian_series():
     for index, t in enumerate((10.0, 50.0, 90.0, 130.0)):
         spec, _ = synthetic_voigt_spectrum(1820.0, 0.72, 0.0, temperature=t,
                                            peak_snr=30.0, seed=index)
-        fits.append((t, fit_voigt(spec)))
+        fits.append(fit_voigt(spec))
     floor = extract_components(fits)
-    pairs = lorentzian_parts([(t, f.total_fwhm) for t, f in fits], floor)
+    pairs = lorentzian_parts([(f.temperature, f.total_fwhm) for f in fits],
+                             floor)
     assert all(f_l < 0.05 for _, f_l in pairs)  # below the noise floor
 
 
@@ -223,9 +225,9 @@ def test_extract_components_ignores_a_pinned_floor(tmp_path):
     # nothing about the floor and must carry no weight in it
     path, _ = generate_synthetic_series(
         tmp_path, AcousticDebye(6.82, 600.0, gaussian_floor=0.72), seed=5)
-    fits = [(t, fit_voigt(s)) for t, s in load_series(load_manifest(path))]
-    hot = fits[-1][1]
-    assert fits[-1][0] == 270.0
+    fits = [fit_voigt(s) for s in load_series(load_manifest(path))]
+    hot = fits[-1]
+    assert hot.temperature == 270.0
     assert hot.params.gaussian_fwhm == 0.0
     assert hot.uncertainties.gaussian_fwhm == math.inf
     floor = extract_components(fits)
@@ -240,6 +242,11 @@ def test_extract_components_free_mode_and_errors():
     assert floor == pytest.approx(0.72, rel=1e-5)
     with pytest.raises(InsufficientDataError):
         extract_components(fits[:1])
+    # each fit carries its spectrum's temperature, and two at one
+    # temperature cannot both stand for it
+    assert [f.temperature for f in fits] == list(SERIES_GRID)
+    with pytest.raises(DomainError, match="distinct"):
+        extract_components(fits[:3] + fits[2:3])
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +390,7 @@ def test_analyze_series_end_to_end_noiseless():
         spec, _ = synthetic_voigt_spectrum(1820.0, 0.72,
                                            model.lorentzian_fwhm(t),
                                            temperature=t)
-        series.append((t, spec))
+        series.append(spec)
     result = analyze_series(series)
     assert result.best_model == "acoustic_debye"
     assert result.gaussian_floor == pytest.approx(0.72, rel=1e-5)
@@ -393,9 +400,9 @@ def test_analyze_series_end_to_end_noiseless():
 
 def _paper_spectra():
     model = AcousticDebye(6.82, 600.0)
-    return [(t, synthetic_voigt_spectrum(
+    return [synthetic_voigt_spectrum(
         1820.0, 0.72, model.lorentzian_fwhm(t), temperature=t,
-        peak_snr=30.0, seed=400 + index)[0])
+        peak_snr=30.0, seed=400 + index)[0]
         for index, t in enumerate(SERIES_GRID)]
 
 
@@ -404,12 +411,28 @@ def test_analyze_series_bare_components_are_the_shared_floor_split():
     # totals split under the shared floor, which every model carries
     result = analyze_series(_paper_spectra(), quantity="lorentzian")
     floor = result.gaussian_floor
-    totals = [(t, f.total_fwhm) for t, f in result.per_temperature]
+    totals = [(f.temperature, f.total_fwhm) for f in result.per_temperature]
     rows = compare_models(lorentzian_parts(totals, floor),
                           quantity="lorentzian", gaussian_floor=floor)
     assert list(result.comparisons) == rows
     assert all(row.model.gaussian_floor == floor for row in rows)
     assert rows[0].kind == "acoustic_debye"
+
+
+def test_analyze_series_is_independent_of_spectrum_order():
+    # a series is its spectra: each is fitted and ranked at the temperature
+    # it carries, whatever order it arrives in
+    spectra = _paper_spectra()
+    shuffled = [spectra[i] for i in
+                np.random.default_rng(3).permutation(len(spectra))]
+    assert [s.temperature for s in shuffled] != list(SERIES_GRID)
+    result = analyze_series(shuffled)
+    assert result == analyze_series(spectra)
+    assert [f.temperature for f in result.per_temperature] == list(SERIES_GRID)
+    for fit, spectrum in zip(result.per_temperature, spectra):
+        assert fit.temperature == spectrum.temperature
+        assert fit == fit_voigt(spectrum)
+    assert result.best_model == "acoustic_debye"
 
 
 def test_analyze_series_checks_quantity_before_fitting(monkeypatch):

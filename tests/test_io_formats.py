@@ -91,13 +91,31 @@ def test_manifest_round_trip_and_validation(tmp_path):
     assert loaded.shape["debye_temperature"] == 600.0
     assert loaded.entries[0].temperature == 10.0
     series = load_series(loaded)
-    assert series[0][1].temperature == 10.0
+    assert series[0].temperature == 10.0
 
     with pytest.raises(DomainError):
         SeriesManifest("X", (ManifestEntry(10.0, "a"),
                              ManifestEntry(10.0, "b")))
     with pytest.raises(DomainError):
         SeriesManifest("X", (ManifestEntry(-4.0, "a"),))
+
+
+def test_manifest_holds_its_entries_in_ascending_temperature(tmp_path):
+    # the manifest owns the series order: load_series and save_manifest
+    # follow it, whatever order the file lists
+    for t, name in ((10.0, "cold.csv"), (30.0, "warm.csv")):
+        spec, _ = synthetic_voigt_spectrum(1820.0, 0.7, 0.1, temperature=t,
+                                           n_points=60)
+        save_spectrum(spec, tmp_path / name)
+    (tmp_path / "m.json").write_text(json.dumps({"entries": [
+        {"temperature_K": 30.0, "path": "warm.csv"},
+        {"temperature_K": 10.0, "path": "cold.csv"}]}))
+    manifest = load_manifest(tmp_path / "m.json")
+    assert [e.path for e in manifest.entries] == ["cold.csv", "warm.csv"]
+    assert [s.temperature for s in load_series(manifest)] == [10.0, 30.0]
+    save_manifest(manifest, tmp_path / "saved.json")
+    saved = json.loads((tmp_path / "saved.json").read_text())
+    assert [e["path"] for e in saved["entries"]] == ["cold.csv", "warm.csv"]
 
 
 def test_manifest_metadata_must_be_an_object(tmp_path):
@@ -312,7 +330,7 @@ def test_generate_synthetic_series_default_grid(tmp_path):
     temps = [e.temperature for e in manifest.entries]
     assert temps == [float(t) for t in range(10, 271, 20)]
     # the point counts returned are those written, in temperature order
-    assert sizes == [s.n_points for _, s in load_series(manifest)]
+    assert sizes == [s.n_points for s in load_series(manifest)]
     assert sizes[0] == 577 and max(sizes) <= 1001
     assert manifest.shape == {"debye_temperature": 600.0,
                               "phonon_energy": 18.0}
@@ -324,8 +342,7 @@ def test_generate_noiseless_round_trip(tmp_path):
         tmp_path / "o", model, peak_snr=0.0,
         temperatures=(10.0, 150.0, 270.0), seed=0)
     series = load_series(load_manifest(manifest_path))
-    t, spec = series[2]
-    fit = fit_voigt(spec)
+    fit = fit_voigt(series[2])
     assert fit.params.lorentzian_fwhm == pytest.approx(
         model.lorentzian_fwhm(270.0), rel=1e-6)
     # the 6-significant-digit file format quantizes intensities at ~5e-7
@@ -333,8 +350,7 @@ def test_generate_noiseless_round_trip(tmp_path):
     # in-memory round trips recover 1e-6 (see the acceptance suite)
     assert fit.params.gaussian_fwhm == pytest.approx(0.72, rel=2e-5)
     # center drift endpoints
-    t0, spec0 = series[0]
-    fit0 = fit_voigt(spec0)
+    fit0 = fit_voigt(series[0])
     assert fit0.params.center == pytest.approx(1820.2, abs=1e-4)
     assert fit.params.center == pytest.approx(1813.5, abs=1e-4)
 
@@ -344,9 +360,8 @@ def test_generate_takes_the_gaussian_floor_from_the_model(tmp_path):
     manifest_path, _ = generate_synthetic_series(
         tmp_path, model, peak_snr=0.0, temperatures=(10.0, 30.0, 50.0),
         n_points=401)
-    fits = [(t, fit_voigt(s))
-            for t, s in load_series(load_manifest(manifest_path))]
-    for _, fit in fits:
+    fits = [fit_voigt(s) for s in load_series(load_manifest(manifest_path))]
+    for fit in fits:
         assert fit.params.gaussian_fwhm == pytest.approx(0.2, rel=1e-5)
     assert extract_components(fits) == pytest.approx(0.2, rel=1e-5)
 
@@ -397,7 +412,7 @@ def test_loaders_carry_the_digest_of_the_bytes_they_parsed(tmp_path):
         temperatures=(10.0, 30.0), n_points=41, seed=3)
     manifest = load_manifest(manifest_path)
     assert manifest.source_sha256 == sha256(manifest_path)
-    for entry, (_, spectrum) in zip(manifest.entries, load_series(manifest)):
+    for entry, spectrum in zip(manifest.entries, load_series(manifest)):
         assert spectrum.source_sha256 == sha256(manifest.resolve(entry))
     table = tmp_path / "widths.csv"
     table.write_bytes(b"10,0.8\r\n30,0.9\r\n")
