@@ -16,7 +16,9 @@ from .fitting import (analyze_series, classify_lineshape, compare_models,
                       fit_voigt, lorentzian_parts)
 from .io_formats import (_finite, _write_table, generate_synthetic_series,
                          load_linewidths, load_manifest, load_series,
-                         load_spectrum, save_spectrum, write_result_record)
+                         load_spectrum, model_comparison_record, save_spectrum,
+                         series_fit_record, single_fit_record,
+                         write_result_record)
 from .lineshape import grid_fwhm, voigt_fwhm
 from .physics import MODEL_KINDS, SHAPE_DEFAULTS, check_shape, make_model
 from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
@@ -38,39 +40,6 @@ def _say(args, text):
         print(text)
 
 
-def _fit_block(fit):
-    p, u = fit.params, fit.uncertainties
-    return {
-        "temperature_K": fit.temperature,
-        "center_meV": p.center,
-        "gaussian_fwhm_meV": p.gaussian_fwhm,
-        "lorentzian_fwhm_meV": p.lorentzian_fwhm,
-        "total_fwhm_meV": fit.total_fwhm,
-        "amplitude": p.amplitude,
-        "baseline": p.baseline,
-        "uncertainties": {
-            "center_meV": u.center,
-            "gaussian_fwhm_meV": u.gaussian_fwhm,
-            "lorentzian_fwhm_meV": u.lorentzian_fwhm,
-            "amplitude": u.amplitude,
-            "baseline": u.baseline,
-        },
-        "rss": fit.rss,
-        "n_points": fit.n_points,
-        "n_iterations": fit.n_iterations,
-        "converged": True,  # a fit that does not converge raises
-        "mode": fit.mode,
-    }
-
-
-def _model_block(row):
-    m = row.model
-    params = {"amplitude": m.amplitude, "gaussian_floor_meV": m.gaussian_floor,
-              **{m.shape[name]: v for name, v in m.shape_values().items()}}
-    return {"kind": row.kind, "params": params, "rss": row.rss,
-            "n_free": row.n_free, "aic": row.aic, "delta_aic": row.delta_aic}
-
-
 def _shape(args, fallback=None):
     """The shape flags as make_model keywords, each checked even where the
     chosen models do not take it; a flag left out takes its value in
@@ -81,16 +50,6 @@ def _shape(args, fallback=None):
         if value is not None:
             check_shape(name, value)
     return shape
-
-
-def _provenance(inputs):
-    """`inputs`: (path, SHA-256 hex digest of the bytes parsed from it)."""
-    return {
-        "inputs": {os.path.basename(p): f"sha256:{digest}"
-                   for p, digest in inputs},
-        "seed": None,
-        "tool_version": __version__,
-    }
 
 
 def _print_comparison(args, rows):
@@ -112,18 +71,8 @@ def cmd_fit(args):
     _say(args, f"lineshape       {classification.label} "
                f"(rss ratio {classification.rss_ratio:.3g})")
     if args.output:
-        write_result_record({
-            "kind": "single_fit",
-            "fit": _fit_block(fit),
-            "classification": {
-                "label": classification.label,
-                "rss_gaussian": classification.fit_gaussian.rss,
-                "rss_lorentzian": classification.fit_lorentzian.rss,
-                "rss_ratio": classification.rss_ratio,
-            },
-            "provenance": _provenance([(args.spectrum,
-                                        spectrum.source_sha256)]),
-        }, args.output)
+        write_result_record(single_fit_record(args.spectrum, spectrum, fit,
+                                              classification), args.output)
         _say(args, f"wrote {args.output}")
     return 0
 
@@ -159,20 +108,9 @@ def cmd_series(args):
     _print_comparison(args, result.comparisons)
     _say(args, f"best_model      {result.best_model}")
     if args.output:
-        record = {
-            "kind": "series_fit",
-            "emitter_id": manifest.emitter_id,
-            "quantity": args.quantity,
-            "gaussian_floor_meV": result.gaussian_floor,
-            "per_temperature": [_fit_block(f) for f in result.per_temperature],
-            "models": [_model_block(row) for row in result.comparisons],
-            "best_model": result.best_model,
-            "provenance": _provenance(
-                [(args.manifest, manifest.source_sha256)]
-                + [(manifest.resolve(e), s.source_sha256)
-                   for e, s in zip(manifest.entries, series)]),
-        }
-        write_result_record(record, args.output)
+        write_result_record(series_fit_record(args.manifest, manifest, series,
+                                              result, args.quantity),
+                            args.output)
         _say(args, f"wrote {args.output}")
     if args.curves_dir:
         _write_curves(args, result, grid)
@@ -196,14 +134,8 @@ def cmd_compare(args):
                           gaussian_floor=floor, **_shape(args))
     _print_comparison(args, rows)
     if args.output:
-        write_result_record({
-            "kind": "model_comparison",
-            "quantity": args.quantity,
-            "gaussian_floor_meV": floor,
-            "models": [_model_block(row) for row in rows],
-            "best_model": rows[0].kind,
-            "provenance": _provenance([(args.input, digest)]),
-        }, args.output)
+        write_result_record(model_comparison_record(
+            args.input, digest, rows, args.quantity, floor), args.output)
         _say(args, f"wrote {args.output}")
     return 0
 

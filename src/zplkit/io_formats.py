@@ -5,9 +5,10 @@ Comma tables have one grammar, one reader and one writer.  numpy parses
 a table's rows; the line parser, the owner of every parse error and its
 line number, takes any body numpy rejects.  Spectra carry 6 significant
 digits (byte-stable under load/save round trips).  Manifests and result
-records are JSON.  Every input is read once, by `_read_text`, and what a
-loader returns carries the SHA-256 of the bytes it parsed.  Writers are
-atomic (temp file + rename).
+records are JSON; this module builds each record and reads it back, so it
+alone names a record key.  Every input is read once, by `_read_text`, and
+what a loader returns carries the SHA-256 of the bytes it parsed.  Writers
+are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .errors import DomainError, ParseError
 from .fitting import Spectrum
 from .lineshape import VoigtParams, voigt_profile
@@ -40,6 +42,9 @@ SCHEMA_VERSION = 1
 DEFAULT_TEMPERATURES = tuple(float(t) for t in range(10, 271, 20))
 # peak counts peak_snr**2 stay below numpy's Poisson limit, about 9.2e18
 _MAX_PEAK_SNR = 1e9
+# most points (temperatures x n_points) one synthetic series may hold, checked
+# before any is computed: its energies and intensities come to 160 MB at most
+_MAX_SYNTH_POINTS = 10 ** 7
 
 
 def _atomic_write_text(path, text):
@@ -232,6 +237,8 @@ class ManifestEntry:
 
 _MANIFEST_KEYS = {"debye_temperature": "theta_D_K",  # shape: manifest key
                   "phonon_energy": "phonon_energy_meV"}
+_RECORD_KEYS = {"debye_temperature": "debye_temperature_K",  # shape: record key
+                "phonon_energy": "phonon_energy_meV"}
 
 
 @dataclass(frozen=True)
@@ -327,6 +334,70 @@ def _round_floats(obj):
     return obj
 
 
+# VoigtParams field: fit-block key, of a fit's values and its uncertainties
+_FIT_KEYS = {"center": "center_meV", "gaussian_fwhm": "gaussian_fwhm_meV",
+             "lorentzian_fwhm": "lorentzian_fwhm_meV",
+             "amplitude": "amplitude", "baseline": "baseline"}
+
+
+def _fit_block(fit):
+    def keyed(params):
+        return {key: getattr(params, name) for name, key in _FIT_KEYS.items()}
+    return {"temperature_K": fit.temperature, **keyed(fit.params),
+            "total_fwhm_meV": fit.total_fwhm, "rss": fit.rss,
+            "uncertainties": keyed(fit.uncertainties),
+            "n_points": fit.n_points, "n_iterations": fit.n_iterations,
+            "converged": True, "mode": fit.mode}  # unconverged fits raise
+
+
+def _model_block(row):
+    m = row.model
+    params = {"amplitude": m.amplitude, "gaussian_floor_meV": m.gaussian_floor,
+              **{_RECORD_KEYS[name]: v for name, v in m.shape_values().items()}}
+    return {"kind": row.kind, "params": params, "rss": row.rss,
+            "n_free": row.n_free, "aic": row.aic, "delta_aic": row.delta_aic}
+
+
+def _provenance(path, digest, entries=()):
+    """The digests of the input at `path`, keyed by its base name, and of
+    each (manifest entry, Spectrum) in `entries`, keyed by the entry's path."""
+    inputs = {os.path.basename(path): digest,
+              **{e.path: s.source_sha256 for e, s in entries}}
+    return {"inputs": {key: f"sha256:{d}" for key, d in inputs.items()},
+            "seed": None, "tool_version": __version__}
+
+
+def single_fit_record(path, spectrum, fit, classification):
+    """The `single_fit` record of one spectrum, read from `path`."""
+    return {"kind": "single_fit", "fit": _fit_block(fit),
+            "classification": {
+                "label": classification.label,
+                "rss_gaussian": classification.fit_gaussian.rss,
+                "rss_lorentzian": classification.fit_lorentzian.rss,
+                "rss_ratio": classification.rss_ratio},
+            "provenance": _provenance(path, spectrum.source_sha256)}
+
+
+def series_fit_record(path, manifest, spectra, result, quantity):
+    """The `series_fit` record of the manifest read from `path`."""
+    return {"kind": "series_fit", "emitter_id": manifest.emitter_id,
+            "quantity": quantity, "gaussian_floor_meV": result.gaussian_floor,
+            "per_temperature": [_fit_block(f) for f in result.per_temperature],
+            "models": [_model_block(row) for row in result.comparisons],
+            "best_model": result.best_model,
+            "provenance": _provenance(path, manifest.source_sha256,
+                                      zip(manifest.entries, spectra))}
+
+
+def model_comparison_record(path, digest, rows, quantity, floor):
+    """The `model_comparison` record of `rows`, ranked on `path`'s widths."""
+    return {"kind": "model_comparison", "quantity": quantity,
+            "gaussian_floor_meV": floor,
+            "models": [_model_block(row) for row in rows],
+            "best_model": rows[0].kind,
+            "provenance": _provenance(path, digest)}
+
+
 def write_result_record(record, path):
     """Serialize a result dict as JSON with 12-significant-digit floats."""
     doc = _round_floats(dict(record))
@@ -400,11 +471,11 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
     spans the center +- max(8 total FWHM, 3 meV) with at most `n_points`
     points: the step is rounded up to whole 0.01 meV, so a narrow line gets
     fewer (577 of the default 1001 for the 10 K line of the `synth`
-    defaults).  The manifest records the model's own shape parameters and,
-    for the others, those `shape` gives ({name: value, None for the
-    default}).  Deterministic for a fixed seed.  Every spectrum is computed
-    before the first file is written, so invalid input leaves no file
-    behind.
+    defaults); temperatures x n_points may not exceed 10^7.  The manifest
+    records the model's own shape parameters and, for the others, those
+    `shape` gives ({name: value, None for the default}).  Deterministic for
+    a fixed seed.  Every spectrum is computed before the first file is
+    written, so invalid input leaves no file behind.
     """
     temperatures = sorted(float(t) for t in temperatures)
     if len(temperatures) < 1:
@@ -414,6 +485,9 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
                           f"got {peak_snr:g}")
     if n_points < 21:
         raise DomainError("n_points must be >= 21")
+    if len(temperatures) * n_points > _MAX_SYNTH_POINTS:
+        raise DomainError(f"{len(temperatures)} temperatures x {n_points} "
+                          f"points exceed {_MAX_SYNTH_POINTS:,} points")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     peak_counts = peak_snr ** 2 if peak_snr > 0 else 1.0

@@ -112,9 +112,9 @@ def debye_integral(temperature, debye_temperature):
 class DephasingModel:
     """Lorentzian FWHM = amplitude * basis(T), over a constant Gaussian floor.
     Each kind declares its `kind`, a scalar unit-amplitude `basis(T)`, and
-    its `shape` parameters mapped to their result-record keys."""
+    the names of its `shape` parameters."""
 
-    shape = {}
+    shape = ()
 
     def __post_init__(self):
         # `not x >= 0` rather than `x < 0`, so that NaN fails too
@@ -150,7 +150,7 @@ class AcousticDebye(DephasingModel):
     gaussian_floor: float = 0.0
 
     kind = "acoustic_debye"
-    shape = {"debye_temperature": "debye_temperature_K"}
+    shape = ("debye_temperature",)
 
     def basis(self, temperature):
         # looked up at call time, so a wrapper on the module attribute sees it
@@ -182,7 +182,7 @@ class OpticalMode(DephasingModel):
     gaussian_floor: float = 0.0
 
     kind = "optical_mode"
-    shape = {"phonon_energy": "phonon_energy_meV"}
+    shape = ("phonon_energy",)
 
     def basis(self, temperature):
         n = bose_einstein(self.phonon_energy, temperature)

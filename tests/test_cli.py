@@ -342,14 +342,17 @@ def test_exit_codes(tmp_path, monkeypatch):
     # synth writes no spectrum when it cannot finish: a zero temperature,
     # steps that ask for more temperatures than one run may write (0.26
     # gives 1,001 from 10 K to 270 K), an amplitude whose widths overflow,
-    # a peak count beyond numpy's Poisson limit and a negative seed; and
-    # simulate writes nothing for a time grid beyond its 10^6-step bound
-    # (2e10 steps here, ~300 GB of coherence buffers)
+    # a peak count beyond numpy's Poisson limit, a negative seed and more
+    # than 10^7 points in all (one 1e13-point spectrum asked numpy for 11.6
+    # TiB); and simulate writes nothing for a time grid beyond its
+    # 10^6-step bound (2e10 steps here, ~300 GB of coherence buffers)
     synth = ("synth", "--out-dir", out)
     for args in (synth + ("--t-start", "0"), synth + ("--t-step", "1e-300"),
                  synth + ("--t-step", "0.26"),
                  synth + ("--amplitude", "1e300"), synth + ("--snr", "1e10"),
                  synth + ("--seed", "-1"),
+                 synth + ("--amplitude", "1e9", "--n-points", "10000000000000",
+                          "--t-start", "270", "--t-stop", "270"),
                  ("simulate", "--sigma", "0", "--gamma", "1e-6",
                   "--t-max", "2e7", "--dt", "0.001")):
         result = run_cli(*args, cwd=tmp_path)
@@ -929,3 +932,28 @@ def test_provenance_hashes_the_bytes_that_were_parsed(synth_dir, tmp_path,
             inputs = json.load(fh)["provenance"]["inputs"]
         assert inputs == {name: f"sha256:{digest}"
                           for name, digest in parsed.items()}, argv[0]
+
+
+def test_provenance_keys_manifest_entries_by_their_path(synth_dir, tmp_path):
+    # two entries share the base name s.csv; each keeps its own digest
+    series = synth_dir / "series"
+    paths = {"../a/s.csv": "spectrum_00_10K.csv",
+             "../b/s.csv": "spectrum_01_30K.csv",
+             "spectrum_02_50K.csv": "spectrum_02_50K.csv"}
+    for path, source in paths.items():
+        target = tmp_path / "m" / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(series / source, target)
+    manifest = tmp_path / "m" / "series.json"
+    manifest.write_text(json.dumps({"entries": [
+        {"temperature_K": t, "path": path}
+        for t, path in zip((10.0, 30.0, 50.0), paths)]}))
+    record = tmp_path / "record.json"
+    code, _, err = _run_in_process(["series", str(manifest), "--output",
+                                    str(record), "--quiet"])
+    assert code == 0, err
+    inputs = json.loads(record.read_text())["provenance"]["inputs"]
+    assert inputs == {
+        "series.json": f"sha256:{_sha256(manifest)}",
+        **{path: f"sha256:{_sha256(series / source)}"
+           for path, source in paths.items()}}

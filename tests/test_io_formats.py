@@ -10,12 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import synthetic_voigt_spectrum
 from zplkit import io_formats
 from zplkit.errors import DomainError, FormatError, ParseError
-from zplkit.fitting import Spectrum, extract_components, fit_voigt
+from zplkit.fitting import (Spectrum, analyze_series, extract_components,
+                            fit_voigt)
 from zplkit.io_formats import (ManifestEntry, SeriesManifest,
                                generate_synthetic_series, load_linewidths,
                                load_manifest, load_series, load_spectrum,
                                save_manifest, save_spectrum,
-                               write_result_record)
+                               series_fit_record, write_result_record)
 from zplkit.physics import AcousticDebye
 
 
@@ -295,6 +296,24 @@ def test_result_record_round_trip_and_rounding(tmp_path):
     assert loaded["value"] == float(f"{0.123456789012345678:.12g}")
     write_result_record(loaded, path)
     assert path.read_bytes() == first
+
+
+def test_series_record_round_trips_through_load_linewidths(tmp_path):
+    model = AcousticDebye(6.82, gaussian_floor=0.72)
+    manifest_path, _ = generate_synthetic_series(
+        tmp_path, model, temperatures=(10.0, 90.0, 170.0, 250.0),
+        n_points=201, seed=5)
+    manifest = load_manifest(manifest_path)
+    spectra = load_series(manifest)
+    result = analyze_series(spectra)
+    record = tmp_path / "record.json"
+    write_result_record(series_fit_record(manifest_path, manifest, spectra,
+                                          result, "total"), record)
+    points, floor, digest = load_linewidths(record, "total")
+    assert points == [(f.temperature, float(f"{f.total_fwhm:.12g}"))
+                      for f in result.per_temperature]
+    assert floor == float(f"{result.gaussian_floor:.12g}")
+    assert digest == hashlib.sha256(record.read_bytes()).hexdigest()
 
 
 def test_atomic_write_failure_leaves_target_and_no_temp_file(

@@ -6,14 +6,13 @@ import pytest
 
 from oracles import cubic_asymptote, simpson_reduced_debye
 from zplkit import physics
-from zplkit.cli import _model_block
 from zplkit.errors import DomainError
 from zplkit.fitting import ModelComparison, build_series_problem
-from zplkit.io_formats import generate_synthetic_series
+from zplkit.io_formats import _model_block, generate_synthetic_series
 from zplkit.physics import (BOLTZMANN_MEV_PER_K, HBAR_MEV_PS, MODEL_KINDS,
                             AcousticDebye, CubicLaw, OpticalMode,
-                            bose_einstein, debye_integral, make_model,
-                            reduced_debye_integral)
+                            SHAPE_DEFAULTS, bose_einstein, debye_integral,
+                            make_model, reduced_debye_integral)
 
 # golden value pinned with an arbitrary-precision oracle (40 digits)
 BOSE_18MEV_300K = 0.9937813313789182
@@ -228,6 +227,16 @@ def test_model_validation():
         OpticalMode(1.0, inf)
     with pytest.raises(DomainError):
         make_model("acoustic_debye", 1.0, debye_temperature=inf)
+
+
+def test_shape_is_a_tuple_of_make_model_names():
+    for kind, cls in MODEL_KINDS.items():
+        assert type(cls.shape) is tuple
+        assert set(cls.shape) <= set(SHAPE_DEFAULTS)
+        values = {name: 2.5 + i for i, name in enumerate(cls.shape)}
+        assert make_model(kind, 1.0, **values).shape_values() == values
+    assert [MODEL_KINDS[k].shape for k in MODEL_KINDS] == [
+        ("debye_temperature",), (), ("phonon_energy",)]
 
 
 def test_make_model_kinds(tmp_path):
