@@ -12,8 +12,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FitError, ParseError, ZplkitError
-from .fitting import (analyze_series, classify_lineshape, compare_models,
-                      fit_voigt, lorentzian_parts)
+from .fitting import (_initial_guess, analyze_series, classify_lineshape,
+                      compare_models, fit_voigt, lorentzian_parts)
 from .io_formats import (_finite, _write_table, generate_synthetic_series,
                          load_linewidths, load_manifest, load_series,
                          load_spectrum, model_comparison_record, save_spectrum,
@@ -26,6 +26,7 @@ from .simulate import SimulationConfig, mc_coherence, spectrum_from_coherence
 
 _MAX_SYNTH_TEMPERATURES = 1000  # most spectra one `synth` run may write
 _MAX_CURVE_POINTS = 10_000  # most 1 K-step rows of a `series` curve file
+_SYNTH_DEFAULTS = generate_synthetic_series.__kwdefaults__  # of `synth` flags
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,8 +62,9 @@ def _print_comparison(args, rows):
 
 def cmd_fit(args):
     spectrum = load_spectrum(args.spectrum, temperature=args.temperature)
-    fit = fit_voigt(spectrum, weighted=not args.unweighted)
-    classification = classify_lineshape(spectrum, weighted=not args.unweighted)
+    init = _initial_guess(spectrum)  # the one start of all three fits
+    fit = fit_voigt(spectrum, init, weighted=not args.unweighted)
+    classification = classify_lineshape(spectrum, not args.unweighted, init)
     p = fit.params
     _say(args, f"center          {p.center:.6f} meV")
     _say(args, f"gaussian_fwhm   {p.gaussian_fwhm:.6f} meV")
@@ -274,16 +276,18 @@ def _build_parser():
     add_shape_flags(p)
     p.add_argument("--fg", type=_number, default=0.72,
                    help="constant Gaussian floor, meV (default 0.72)")
-    p.add_argument("--snr", type=_number, default=30.0,
+    p.add_argument("--snr", type=_number, default=_SYNTH_DEFAULTS["peak_snr"],
                    help="peak signal-to-noise; 0 disables noise")
-    p.add_argument("--t-start", type=_number, default=10.0)
-    p.add_argument("--t-stop", type=_number, default=270.0)
-    p.add_argument("--t-step", type=_number, default=20.0)
-    p.add_argument("--n-points", type=int, default=1001,
+    grid = _SYNTH_DEFAULTS["temperatures"]  # evenly spaced
+    p.add_argument("--t-start", type=_number, default=grid[0])
+    p.add_argument("--t-stop", type=_number, default=grid[-1])
+    p.add_argument("--t-step", type=_number, default=grid[1] - grid[0])
+    p.add_argument("--n-points", type=int, default=_SYNTH_DEFAULTS["n_points"],
                    help="most points per spectrum; the grid steps in whole "
-                        "0.01 meV, so narrow lines get fewer (default 1001)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emitter-id", default="synthetic")
+                        "0.01 meV, so narrow lines get fewer "
+                        "(default %(default)s)")
+    p.add_argument("--seed", type=int, default=_SYNTH_DEFAULTS["seed"])
+    p.add_argument("--emitter-id", default=_SYNTH_DEFAULTS["emitter_id"])
     add_common(p)
     p.set_defaults(func=cmd_synth)
     return parser

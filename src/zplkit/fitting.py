@@ -153,8 +153,7 @@ def build_voigt_problem(spectrum, mode="voigt", weighted=True):
     columns = ("x",) + tuple(_WIDTH_PARTIAL[name][0] for name in widths)
     energy = spectrum.energy
     intensity = spectrum.intensity
-    sqrt_w = (1.0 / np.sqrt(np.maximum(intensity, 1.0)) if weighted
-              else np.ones_like(intensity))
+    sqrt_w = 1.0 / np.sqrt(np.maximum(intensity, 1.0)) if weighted else None
     latest = {}
 
     def unpack(p):
@@ -182,8 +181,8 @@ def build_voigt_problem(spectrum, mode="voigt", weighted=True):
             value, _ = profile(p, ())
         except DomainError:
             return np.full(energy.size, np.inf)
-        amplitude, baseline = p[-2], p[-1]
-        return sqrt_w * (baseline + amplitude * value - intensity)
+        res = p[-1] + p[-2] * value - intensity  # baseline + amplitude * value
+        return sqrt_w * res if weighted else res  # unweighted: no 1.0 factor
 
     def jacobian(p):
         value, (d_dx, *d_widths) = profile(p, columns)
@@ -194,7 +193,7 @@ def build_voigt_problem(spectrum, mode="voigt", weighted=True):
         for j, (name, d) in enumerate(zip(widths, d_widths), start=1):
             np.multiply(amplitude * _WIDTH_PARTIAL[name][1], d, out=jac[:, j])
         jac[:, -2], jac[:, -1] = value, 1.0
-        return np.multiply(jac, sqrt_w[:, None], out=jac)
+        return np.multiply(jac, sqrt_w[:, None], out=jac) if weighted else jac
 
     return residual, jacobian, unpack
 
@@ -287,13 +286,14 @@ def fit_voigt(spectrum, init: Optional[VoigtParams] = None, weighted=True,
         n_points=spectrum.n_points, temperature=spectrum.temperature)
 
 
-def classify_lineshape(spectrum, weighted=True) -> LineshapeClassification:
+def classify_lineshape(spectrum, weighted=True,
+                       init=None) -> LineshapeClassification:
     """Pure-Gaussian vs pure-Lorentzian fit comparison.
 
     Returns the lower-RSS class when the RSS ratio exceeds 1.2, otherwise
-    "ambiguous".  Both fits start from one initial guess.
+    "ambiguous".  Both fits start from `init`, or from one initial guess.
     """
-    init = _initial_guess(spectrum)
+    init = _initial_guess(spectrum) if init is None else init
     fit_g = fit_voigt(spectrum, init, weighted=weighted, mode="gaussian")
     fit_l = fit_voigt(spectrum, init, weighted=weighted, mode="lorentzian")
     low = min(fit_g.rss, fit_l.rss)
@@ -369,15 +369,14 @@ def build_series_problem(temperatures, values, kind, *, quantity="total",
 
     def jacobian(p):
         amplitude, floor = unpack(p)
-        f_l = amplitude * basis
-        if quantity == "total":
-            d_fg, d_fl = voigt_fwhm_partials(floor, f_l)
-        else:
-            d_fl, d_fg = np.ones_like(f_l), np.zeros_like(f_l)
-        columns = [d_fl * basis]
+        # a bare Lorentzian width has d/d(f_L) = 1 and d/d(floor) = 0
+        d_fg, d_fl = (voigt_fwhm_partials(floor, amplitude * basis)
+                      if quantity == "total" else (0.0, 1.0))
+        jac = np.empty((basis.size, 1 + fit_floor))  # filled, not stacked
+        np.multiply(d_fl, basis, out=jac[:, 0])
         if fit_floor:
-            columns.append(d_fg)
-        return np.stack(columns, axis=1)
+            jac[:, 1] = d_fg
+        return jac
 
     return residual, jacobian, unpack, basis
 
@@ -404,8 +403,7 @@ def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
         raise InsufficientDataError(
             f"{n} points cannot constrain {n_free} free parameter(s); "
             "need at least 3 points and more points than parameters")
-    temps = np.array([t for t, _ in pts])
-    y = np.array([v for _, v in pts])
+    temps, y = np.array(pts).T
     residual, jacobian, unpack, basis = build_series_problem(
         temps, y, kind, quantity=quantity, gaussian_floor=gaussian_floor,
         fit_floor=fit_floor, **shape)
@@ -414,7 +412,7 @@ def fit_series(points, kind, *, quantity="total", gaussian_floor=0.0,
         floor0 = float(y.min())  # lowest-T total width approximates the floor
     else:
         floor0 = float(gaussian_floor)
-    i_ref = int(np.argmax(basis))
+    i_ref = int(basis.argmax())
     if basis[i_ref] <= 0:
         raise DomainError("model basis vanishes at every temperature")
     # the Lorentzian part of the width where the basis is largest

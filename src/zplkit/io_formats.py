@@ -45,6 +45,9 @@ _MAX_PEAK_SNR = 1e9
 # most points (temperatures x n_points) one synthetic series may hold, checked
 # before any is computed: its energies and intensities come to 160 MB at most
 _MAX_SYNTH_POINTS = 10 ** 7
+# most points of one synthetic spectrum: its Voigt evaluation's temporaries
+# take ~200 bytes a point (a run of one 10^6-point spectrum peaks at 216 MB)
+_MAX_SPECTRUM_POINTS = 10 ** 6
 
 
 def _atomic_write_text(path, text):
@@ -471,11 +474,11 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
     spans the center +- max(8 total FWHM, 3 meV) with at most `n_points`
     points: the step is rounded up to whole 0.01 meV, so a narrow line gets
     fewer (577 of the default 1001 for the 10 K line of the `synth`
-    defaults); temperatures x n_points may not exceed 10^7.  The manifest
-    records the model's own shape parameters and, for the others, those
-    `shape` gives ({name: value, None for the default}).  Deterministic for
-    a fixed seed.  Every spectrum is computed before the first file is
-    written, so invalid input leaves no file behind.
+    defaults); n_points may not exceed 10^6, nor temperatures x n_points
+    10^7.  The manifest records the model's own shape parameters and, for
+    the others, those `shape` gives ({name: value, None for the default}).
+    Deterministic for a fixed seed.  Every spectrum is computed before the
+    first file is written, so invalid input leaves no file behind.
     """
     temperatures = sorted(float(t) for t in temperatures)
     if len(temperatures) < 1:
@@ -483,8 +486,9 @@ def generate_synthetic_series(out_dir, model, *, shape=None,
     if not 0 <= peak_snr <= _MAX_PEAK_SNR:
         raise DomainError(f"peak_snr must lie in [0, {_MAX_PEAK_SNR:g}], "
                           f"got {peak_snr:g}")
-    if n_points < 21:
-        raise DomainError("n_points must be >= 21")
+    if not 21 <= n_points <= _MAX_SPECTRUM_POINTS:
+        raise DomainError(f"n_points must lie in [21, "
+                          f"{_MAX_SPECTRUM_POINTS:,}], got {n_points}")
     if len(temperatures) * n_points > _MAX_SYNTH_POINTS:
         raise DomainError(f"{len(temperatures)} temperatures x {n_points} "
                           f"points exceed {_MAX_SYNTH_POINTS:,} points")

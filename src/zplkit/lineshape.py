@@ -113,7 +113,7 @@ def voigt_fwhm(gaussian_fwhm, lorentzian_fwhm):
     """Total Voigt FWHM from its Gaussian and Lorentzian component FWHMs,
     floats or arrays; an array gives each element's scalar result."""
     # fmin passes over a NaN, so a negative width beside one still fails
-    if (np.fmin(gaussian_fwhm, lorentzian_fwhm) < 0).any():
+    if np.count_nonzero(np.fmin(gaussian_fwhm, lorentzian_fwhm) < 0):
         raise DomainError("FWHM inputs must be non-negative")
     return _FWHM_CL * lorentzian_fwhm + _hypot(gaussian_fwhm, lorentzian_fwhm)
 

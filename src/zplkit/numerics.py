@@ -6,6 +6,8 @@ enforced by the tests against mpmath and, downstream, by a brute-force
 convolution cross-check rather than assumed here.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, QuadratureError
@@ -136,19 +138,18 @@ _GK_WEIGHTS = np.stack([_GK_WEIGHTS_K, _GK_WEIGHTS_G])
 
 
 def _gk15(func, lo, hi):
-    """(lo, hi, K15 value, |K15 - G7|) of each panel [lo[i], hi[i]], from one
-    call of `func` on the 15 nodes of every panel."""
+    """(lo, hi, K15 value, |K15 - G7|) floats of each panel [lo[i], hi[i]] of
+    two (n, 1) columns, from one call of `func` on all panels' 15 nodes."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    y = func((mid[:, None] + half[:, None] * _GK_NODES).ravel())
+    y = func((mid + half * _GK_NODES).ravel())
     # vecdot takes the same BLAS dot per panel and rule as `weights @ row`,
     # so each sum keeps its bits; a (n, 15) matmul would sum in another
     # order and move integrals in the last digits
-    sums = np.vecdot(np.asarray(y).reshape(-1, 1, 15), _GK_WEIGHTS)
-    i_k = half * sums[:, 0]
+    sums = np.vecdot(np.asarray(y).reshape(-1, 1, 15), _GK_WEIGHTS) * half
     # |K15 - G7| is a conservative bound on the K15 error
-    err = np.abs(i_k - half * sums[:, 1])
-    return list(zip(lo, hi, i_k, err))
+    return [(left, right, k15, abs(k15 - g7)) for (left,), (right,), (k15, g7)
+            in zip(lo.tolist(), hi.tolist(), sums.tolist())]
 
 
 def _initial_edges(a, b, n):
@@ -157,9 +158,7 @@ def _initial_edges(a, b, n):
     step = (b - a) / n
     if step == 0:  # linspace takes another formula then
         return np.linspace(a, b, n + 1)
-    edges = np.arange(n + 1.0) * step + a
-    edges[-1] = b
-    return edges
+    return np.array([i * step + a for i in range(n)] + [b])  # arange * step + a
 
 
 def adaptive_gauss_kronrod(func, a, b, rel_tol=1e-10, abs_tol=1e-30,
@@ -175,12 +174,14 @@ def adaptive_gauss_kronrod(func, a, b, rel_tol=1e-10, abs_tol=1e-30,
         raise DomainError(f"invalid integration range [{a}, {b}]")
     if b == a:
         return 0.0, 0.0
-    edges = _initial_edges(a, b, initial_intervals)
+    edges = _initial_edges(a, b, initial_intervals)[:, None]
     intervals = _gk15(func, edges[:-1], edges[1:])
     while True:
-        total = sum(iv[2] for iv in intervals)
-        total_err = sum(iv[3] for iv in intervals)
-        if not np.isfinite(total):
+        total = total_err = 0.0  # left to right; `sum` compensates floats
+        for _, _, value, err in intervals:  # from Python 3.12 on
+            total += value
+            total_err += err
+        if not math.isfinite(total):
             raise QuadratureError("integrand produced non-finite values")
         if total_err <= max(rel_tol * abs(total), abs_tol):
             return total, total_err
@@ -192,6 +193,6 @@ def adaptive_gauss_kronrod(func, a, b, rel_tol=1e-10, abs_tol=1e-30,
         worst = max(range(len(intervals)), key=lambda i: intervals[i][3])
         lo, hi, _, _ = intervals[worst]
         mid = 0.5 * (lo + hi)
-        intervals[worst], right = _gk15(func, np.array([lo, mid]),
-                                        np.array([mid, hi]))
+        intervals[worst], right = _gk15(func, np.array([[lo], [mid]]),
+                                        np.array([[mid], [hi]]))
         intervals.append(right)

@@ -9,6 +9,7 @@ each iteration is one linear solve and one residual evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,7 +94,7 @@ def least_squares(residual, jacobian, p0, lower=None):
     solution, taken over the parameters off their bounds; a parameter on
     its bound gets an infinite variance.
     """
-    p = np.asarray(p0, dtype=float).copy()
+    p = np.array(p0, dtype=float)
     lower = (np.full(p.size, -np.inf) if lower is None
              else np.asarray(lower, dtype=float))
     if lower.shape != p.shape:
@@ -110,18 +111,19 @@ def least_squares(residual, jacobian, p0, lower=None):
     p = project(p)
     r = np.asarray(residual(p), dtype=float)
     rss = float(r @ r)
-    if not np.isfinite(rss):
+    if not math.isfinite(rss):
         raise IllConditionedError("residual is not finite at the start point")
 
     def linearize(point, res):
         jac = np.asarray(jacobian(point), dtype=float)
-        if not np.all(np.isfinite(jac)):
+        # count_nonzero is one C call; .all() and .any() go through Python
+        if np.count_nonzero(np.isfinite(jac)) < jac.size:
             raise IllConditionedError("Jacobian contains non-finite entries")
         grad = jac.T @ res
         hess = jac.T @ jac
-        diag = np.diag(hess).copy()
-        # unit damping for zero-curvature directions keeps the solve regular
-        return grad, hess, np.where(diag > 0, diag, 1.0)
+        diag = hess.diagonal()
+        # unit damping where J^T J's diagonal (>= 0) is 0 keeps it regular
+        return grad, hess, diag + (diag == 0.0)
 
     grad, hess, scale = linearize(p, r)
     lam = _LAMBDA_INIT
@@ -130,10 +132,11 @@ def least_squares(residual, jacobian, p0, lower=None):
     n_accepted = n_rejected = 0
     iteration = 0
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        damped = hess + lam * np.diag(scale)
+        damped = hess + 0.0  # hess + lam * diag(scale) adds 0.0 off it
+        damped.ravel()[::p.size + 1] += lam * scale
         rhs = -grad
         frozen = (p <= lower) & (grad > 0)
-        if frozen.any():
+        if np.count_nonzero(frozen):
             # identity rows and columns with a zero right-hand side keep
             # the step at zero there
             damped[frozen] = 0.0
@@ -144,16 +147,16 @@ def least_squares(residual, jacobian, p0, lower=None):
             step = np.linalg.solve(damped, rhs)
         except np.linalg.LinAlgError:
             step = np.full(p.size, np.nan)
-        singular = not np.all(np.isfinite(step))
+        singular = np.count_nonzero(np.isfinite(step)) < step.size
         if not singular:
-            if float(np.linalg.norm(step)) < _STEP_TOL:
+            if math.sqrt(step.dot(step)) < _STEP_TOL:  # np.linalg.norm
                 reason = "step_tol"
                 break
             p_try = project(p + step)
             h = p_try - p  # the projected step, for the predicted decrease
             r_try = np.asarray(residual(p_try), dtype=float)
             rss_try = float(r_try @ r_try)
-            if np.isfinite(rss_try) and rss_try <= rss:
+            if math.isfinite(rss_try) and rss_try <= rss:
                 n_accepted += 1
                 drop = rss - rss_try
                 # decrease the linear model predicts for the projected step
@@ -184,5 +187,5 @@ def least_squares(residual, jacobian, p0, lower=None):
     return LeastSquaresResult(
         params=p, rss=rss, n_iterations=iteration, reason=reason,
         n_accepted=n_accepted, n_rejected=n_rejected,
-        at_bound=tuple(np.flatnonzero(p <= lower).tolist()),
+        at_bound=tuple((p <= lower).nonzero()[0].tolist()),
         normal_matrix=hess, dof=r.size - p.size)

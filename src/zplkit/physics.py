@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -154,8 +154,11 @@ class AcousticDebye(DephasingModel):
 
     def basis(self, temperature):
         # looked up at call time, so a wrapper on the module attribute sees it
-        ref = debye_integral(REFERENCE_TEMPERATURE_K, self.debye_temperature)
-        return debye_integral(temperature, self.debye_temperature) / ref
+        return debye_integral(temperature, self.debye_temperature) / self._ref
+
+    @cached_property
+    def _ref(self):  # the integral at REFERENCE_TEMPERATURE_K, once
+        return debye_integral(REFERENCE_TEMPERATURE_K, self.debye_temperature)
 
 
 @dataclass(frozen=True)

@@ -342,10 +342,11 @@ def test_exit_codes(tmp_path, monkeypatch):
     # synth writes no spectrum when it cannot finish: a zero temperature,
     # steps that ask for more temperatures than one run may write (0.26
     # gives 1,001 from 10 K to 270 K), an amplitude whose widths overflow,
-    # a peak count beyond numpy's Poisson limit, a negative seed and more
-    # than 10^7 points in all (one 1e13-point spectrum asked numpy for 11.6
-    # TiB); and simulate writes nothing for a time grid beyond its
-    # 10^6-step bound (2e10 steps here, ~300 GB of coherence buffers)
+    # a peak count beyond numpy's Poisson limit, a negative seed, more than
+    # 10^6 points in one spectrum (one 1e13-point spectrum asked numpy for
+    # 11.6 TiB; 10^6 points take 216 MB) and more than 10^7 points in all;
+    # and simulate writes nothing for a time grid beyond its 10^6-step
+    # bound (2e10 steps here, ~300 GB of coherence buffers)
     synth = ("synth", "--out-dir", out)
     for args in (synth + ("--t-start", "0"), synth + ("--t-step", "1e-300"),
                  synth + ("--t-step", "0.26"),
@@ -353,6 +354,10 @@ def test_exit_codes(tmp_path, monkeypatch):
                  synth + ("--seed", "-1"),
                  synth + ("--amplitude", "1e9", "--n-points", "10000000000000",
                           "--t-start", "270", "--t-stop", "270"),
+                 synth + ("--amplitude", "1e9", "--n-points", "1000001",
+                          "--t-start", "270", "--t-stop", "270"),
+                 synth + ("--amplitude", "1e9", "--n-points", "1000000",
+                          "--t-start", "70"),
                  ("simulate", "--sigma", "0", "--gamma", "1e-6",
                   "--t-max", "2e7", "--dt", "0.001")):
         result = run_cli(*args, cwd=tmp_path)
@@ -870,9 +875,9 @@ def test_fit_record_takes_the_temperature_of_the_fit(synth_dir, tmp_path,
 
 
 def test_synth_defaults_are_the_library_defaults(tmp_path):
-    # the CLI flags and generate_synthetic_series each carry the SNR, point
-    # count, seed, emitter id and temperature grid: a drift in either copy
-    # changes a written byte
+    # the CLI flags take generate_synthetic_series' keyword defaults (SNR,
+    # point count, seed, emitter id and temperature grid): a flag that
+    # stopped reading one would change a written byte
     code, _, err = _run_in_process(["synth", "--out-dir",
                                     str(tmp_path / "cli"), "--quiet"])
     assert code == 0, err
@@ -883,8 +888,9 @@ def test_synth_defaults_are_the_library_defaults(tmp_path):
     assert _tree(tmp_path / "cli") == written
 
 
-def test_fit_computes_two_initial_guesses(synth_dir, monkeypatch):
-    # one for the free Voigt fit, one shared by both restricted fits
+def test_fit_computes_one_initial_guess(synth_dir, monkeypatch):
+    # the free Voigt fit and both restricted fits start from one guess,
+    # counted wherever the CLI or the fits could compute one
     guess = fitting._initial_guess
     calls = []
 
@@ -892,11 +898,12 @@ def test_fit_computes_two_initial_guesses(synth_dir, monkeypatch):
         calls.append(spectrum)
         return guess(spectrum)
 
-    monkeypatch.setattr(fitting, "_initial_guess", counted)
+    for module in (fitting, cli):
+        monkeypatch.setattr(module, "_initial_guess", counted)
     code, _, err = _run_in_process(
         ["fit", str(synth_dir / "series" / "spectrum_00_10K.csv"), "--quiet"])
     assert code == 0, err
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_provenance_hashes_the_bytes_that_were_parsed(synth_dir, tmp_path,

@@ -62,6 +62,9 @@ RUNS = [
                        "--output", "fit_simulated.json"]),
     ("table_three_fields", ["compare", "three_fields.csv"]),
     ("manifest_not_json", ["series", "not_json.json"]),
+    ("compare_shape", ["compare", "widths.csv", "--theta-d", "437.5",
+                       "--phonon-energy", "23.1", "--fix-fg", "0.72",
+                       "--output", "compare_shape.json"]),
 ]
 
 

@@ -121,6 +121,8 @@ _QUADRATURE_CASES = [
     (lambda x: 1.0 / (1.0 + x * x), 0.0, 1000.0, {"initial_intervals": 8}),
     (_spike, 0.0, 1.0, {"rel_tol": 1e-12}),
     (_spike, 0.0, 1.0, {"rel_tol": 1e-12, "max_intervals": 12}),
+    # about 1,000 bisections
+    (lambda x: np.sin(200.0 * x) ** 2, 0.0, 10.0, {}),
 ]
 
 

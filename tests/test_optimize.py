@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import reference_least_squares, synthetic_voigt_spectrum
 
 from zplkit import optimize
-from zplkit.errors import IllConditionedError
+from zplkit.errors import IllConditionedError, ZplkitError
+from zplkit.fitting import (_initial_guess, build_series_problem,
+                            build_voigt_problem)
 from zplkit.optimize import least_squares
+from zplkit.physics import MODEL_KINDS, make_model
 
 
 def _linear_problem(rng, m=50, n=3):
@@ -199,3 +206,94 @@ def test_zero_gradient_direction_is_harmless():
     assert result.converged
     assert result.params[0] == pytest.approx(1.0, abs=1e-10)
     assert result.params[1] == 3.3
+
+
+def _solve_both(build, p0, lower):
+    """least_squares and the reference engine on fresh closures from
+    `build()`, under the CLI's float traps; each a result or the type and
+    text of what it raised."""
+    outcomes = []
+    for engine in (least_squares, reference_least_squares):
+        residual, jacobian = build()
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                outcomes.append(engine(residual, jacobian, p0, lower=lower))
+        except (ArithmeticError, ZplkitError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _assert_same_solve(new, reference):
+    if isinstance(reference, tuple):
+        assert new == reference
+        return
+    assert new.params.tobytes() == reference.params.tobytes()
+    assert new.rss.hex() == reference.rss.hex()
+    for name in ("n_iterations", "reason", "n_accepted", "n_rejected",
+                 "at_bound", "dof"):
+        assert getattr(new, name) == getattr(reference, name), name
+    assert new.normal_matrix.tobytes() == reference.normal_matrix.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(MODEL_KINDS)),
+       quantity=st.sampled_from(["total", "lorentzian"]),
+       fit_floor=st.booleans(),
+       temps=st.lists(st.floats(4.0, 400.0), min_size=3, max_size=12,
+                      unique=True),
+       width=st.floats(0.01, 10.0), floor=st.floats(0.0, 2.0),
+       noise=st.lists(st.floats(-0.05, 0.05), min_size=12, max_size=12),
+       start=st.floats(1e-3, 1e3), floor_start=st.floats(0.0, 3.0))
+def test_series_solves_equal_the_reference_engine_bit_for_bit(
+        kind, quantity, fit_floor, temps, width, floor, noise, start,
+        floor_start):
+    # one free parameter (the amplitude) or two (and the floor); a bare
+    # Lorentzian quantity with a free floor has a zero Jacobian column
+    unit = make_model(kind, 1.0)
+    basis = [unit.lorentzian_fwhm(t) for t in temps]
+    amplitude = width / max(max(basis), 1e-300)
+    model = make_model(kind, amplitude, gaussian_floor=floor)
+    clean = [model.total_fwhm(t) if quantity == "total"
+             else model.lorentzian_fwhm(t) for t in temps]
+    y = [v * (1.0 + e) for v, e in zip(clean, noise)]
+    p0 = [start * amplitude] + ([floor_start] if fit_floor else [])
+
+    def build():
+        return build_series_problem(temps, y, kind, quantity=quantity,
+                                    gaussian_floor=floor,
+                                    fit_floor=fit_floor)[:2]
+
+    _assert_same_solve(*_solve_both(build, p0, [0.0] * len(p0)))
+
+
+_VOIGT_LOWER = {"voigt": [-math.inf, 0.0, 0.0, -math.inf, -math.inf],
+                "gaussian": [-math.inf, 0.0, -math.inf, -math.inf],
+                "lorentzian": [-math.inf, 0.0, -math.inf, -math.inf]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(fg=st.floats(0.2, 3.0), fl=st.floats(0.0, 3.0),
+       n_points=st.integers(21, 120), snr=st.sampled_from([0.0, 10.0, 40.0]),
+       seed=st.integers(0, 2 ** 16),
+       mode=st.sampled_from(["voigt", "gaussian", "lorentzian"]),
+       weighted=st.booleans())
+@example(fg=1.0, fl=0.0, n_points=61, snr=0.0, seed=0, mode="voigt",
+         weighted=True)  # a pure Gaussian: f_L ends on its bound
+def test_voigt_solves_equal_the_reference_engine_bit_for_bit(
+        fg, fl, n_points, snr, seed, mode, weighted):
+    spectrum, _ = synthetic_voigt_spectrum(1800.0, fg, fl, baseline=20.0,
+                                           n_points=n_points, peak_snr=snr,
+                                           seed=seed)
+    init = _initial_guess(spectrum)  # fit_voigt's start
+    total = init.gaussian_fwhm + init.lorentzian_fwhm
+    start = {"voigt": [init.gaussian_fwhm ** 2, init.lorentzian_fwhm],
+             "gaussian": [total ** 2], "lorentzian": [total]}[mode]
+    p0 = [init.center, *start, init.amplitude, init.baseline]
+
+    def build():
+        return build_voigt_problem(spectrum, mode, weighted)[:2]
+
+    new, reference = _solve_both(build, p0, _VOIGT_LOWER[mode])
+    _assert_same_solve(new, reference)
+    if (fl, snr, mode) == (0.0, 0.0, "voigt"):
+        assert new.at_bound == (2,)
