@@ -44,7 +44,7 @@ def _say(args, text):
 def _shape(args, fallback=None):
     """The shape flags as make_model keywords, each checked even where the
     chosen models do not take it; a flag left out takes its value in
-    `fallback` (a manifest's shape mapping), if given."""
+    `fallback` (the settings the input recorded), if it holds one."""
     shape = {name: getattr(args, name) if getattr(args, name) is not None
              else (fallback or {}).get(name) for name in SHAPE_DEFAULTS}
     for name, value in shape.items():
@@ -128,16 +128,19 @@ def _number(text):
 
 
 def cmd_compare(args):
-    points, record_floor, digest = load_linewidths(args.input, args.quantity)
-    floor = args.fix_fg if args.fix_fg is not None else (record_floor or 0.0)
-    if record_floor is not None and args.quantity == "lorentzian":
+    points, recorded, digest = load_linewidths(args.input,
+                                               args.quantity or "total")
+    quantity = args.quantity or recorded.get("quantity", "total")
+    floor = (args.fix_fg if args.fix_fg is not None
+             else recorded.get("gaussian_floor", 0.0))
+    if recorded and quantity == "lorentzian":
         points = lorentzian_parts(points, floor)  # a record holds totals
-    rows = compare_models(points, kinds=args.models, quantity=args.quantity,
-                          gaussian_floor=floor, **_shape(args))
+    rows = compare_models(points, kinds=args.models, quantity=quantity,
+                          gaussian_floor=floor, **_shape(args, recorded))
     _print_comparison(args, rows)
     if args.output:
         write_result_record(model_comparison_record(
-            args.input, digest, rows, args.quantity, floor), args.output)
+            args.input, digest, rows, quantity, floor), args.output)
         _say(args, f"wrote {args.output}")
     return 0
 
@@ -241,13 +244,14 @@ def _build_parser():
 
     p = sub.add_parser("compare",
                        help="rank models on a result record or T,linewidth table")
-    p.add_argument("input", help="result record (JSON) or two-column table")
+    p.add_argument("input", help="result record (JSON), whose values stand in "
+                                 "for flags left out, or two-column table")
     p.add_argument("--models", nargs="+", choices=MODEL_KINDS,
                    default=tuple(MODEL_KINDS))
     p.add_argument("--output", help="write a JSON result record here")
     add_model_flags(p)
     add_common(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, quantity=None)  # a record's, else total
 
     p = sub.add_parser("simulate",
                        help="Monte-Carlo coherence and its FFT spectrum")

@@ -438,6 +438,8 @@ def compare_models(points, kinds=physics.MODEL_KINDS, **fit_kwargs):
     kinds = tuple(kinds)
     if not kinds:
         raise InsufficientDataError("need at least one candidate model")
+    if len(set(kinds)) < len(kinds):
+        raise DomainError(f"model kinds repeat: {' '.join(kinds)}")
     points = [(float(t), float(y)) for t, y in points]
     n = len(points)
     rows = []

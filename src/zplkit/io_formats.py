@@ -114,26 +114,30 @@ def _finite(value, where="value", line_number=None):
 
 
 def _json_field(obj, key, where, kind=float, default=None):
-    """obj[key] of a JSON object as a finite float (kind float: an int or
-    a float, not a bool, which subclasses int) or as a str (kind str), or
-    `default` if given and the key is missing.  Anything else is a
-    ParseError naming `where` + key."""
+    """obj[key] of a JSON object as a finite float (kind float: an int or a
+    float, not a bool, which subclasses int), a str, a dict or a list of
+    objects as (`where` naming the item, item) pairs; `default`, if given, for
+    a missing key.  Else a ParseError naming `where` + key, or the item."""
+    if not isinstance(obj, dict):  # an item of a list of objects
+        raise ParseError(f"{where.rstrip('.')} must be an object")
     if key not in obj and default is not None:
         return default
     value = obj.get(key)
-    if kind is str:
-        if isinstance(value, str):
-            return value
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer past the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
+    if kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer past the float range
+                number = math.inf
+            if math.isfinite(number):
+                return number
+    elif isinstance(value, kind):
+        return value if kind is not list else [
+            (f"{where}{key}[{i}].", item) for i, item in enumerate(value)]
     if key not in obj:
         raise ParseError(f"{where}{key} is missing")
-    expected = "a string" if kind is str else "a finite number"
+    expected = {float: "a finite number", str: "a string", dict: "an object",
+                list: "a list of objects"}[kind]
     raise ParseError(f"{where}{key} must be {expected}, "
                      f"got {json.dumps(value)}")
 
@@ -287,19 +291,10 @@ def load_manifest(path) -> SeriesManifest:
     where = f"manifest {path}: "
     if not isinstance(doc, dict):
         raise ParseError(f"{where}not a JSON object")
-    meta = doc.get("metadata", {})
-    if not isinstance(meta, dict):
-        raise ParseError(f"{where}metadata must be an object")
-    if not isinstance(doc.get("entries"), list):
-        raise ParseError(f"{where}entries must be a list of objects")
-    entries = []
-    for i, entry in enumerate(doc["entries"]):
-        at = f"{where}entries[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{at} must be an object")
-        entries.append(ManifestEntry(
-            _json_field(entry, "temperature_K", at + "."),
-            _json_field(entry, "path", at + ".", str)))
+    meta = _json_field(doc, "metadata", where, dict, default={})
+    entries = [ManifestEntry(_json_field(entry, "temperature_K", at),
+                             _json_field(entry, "path", at, str))
+               for at, entry in _json_field(doc, "entries", where, list)]
     try:
         manifest = SeriesManifest(
             emitter_id=_json_field(doc, "emitter_id", where, str, default=""),
@@ -409,14 +404,15 @@ def write_result_record(record, path):
 
 
 def load_linewidths(path, quantity):
-    """(T, linewidth) pairs, a Gaussian floor and the SHA-256 hex digest of
-    the file, from one read: a result record's total FWHMs and its floor,
-    or the values of a `temperature_K,linewidth_meV` table as they are and
-    None; `quantity` ("total" or "lorentzian") names what a table holds.
+    """(T, linewidth) pairs, the settings the input recorded and the SHA-256
+    hex digest of the file, from one read: a result record's total FWHMs
+    and {"quantity", "gaussian_floor", shape name: value} from it and its
+    models' params, or a `temperature_K,linewidth_meV` table's values as
+    they are and {}, `quantity` ("total" or "lorentzian") naming them.
 
-    Every value must be a finite number, a total linewidth positive and a
-    Lorentzian one non-negative: fits of pure Gaussian lines report f_L on
-    its bound of zero.
+    Every value must be a finite number, a total linewidth and a shape value
+    positive and a Lorentzian linewidth non-negative: fits of pure Gaussian
+    lines report f_L on its bound of zero.
     """
     text, digest = _read_text(path)
     try:
@@ -424,27 +420,35 @@ def load_linewidths(path, quantity):
     except (ValueError, RecursionError):  # not JSON: a table
         record = None
     if isinstance(record, dict):
-        blocks = record.get("per_temperature")
-        if not isinstance(blocks, list):
-            raise ParseError(f"record {path} carries no per-temperature fits")
-        quantity = "total"
-        points = []
-        for i, block in enumerate(blocks):
-            where = f"record {path}: per_temperature[{i}]"
-            if not isinstance(block, dict):
-                raise ParseError(f"{where} must be an object")
-            points.append((_json_field(block, "temperature_K", where + "."),
-                           _json_field(block, "total_fwhm_meV", where + ".")))
-        floor = _json_field(record, "gaussian_floor_meV", f"record {path}: ",
-                            default=0.0)
+        where = f"record {path}: "
+        quantity = "total"  # a record holds each fit's total FWHM
+        points = [(_json_field(block, "temperature_K", at),
+                   _json_field(block, "total_fwhm_meV", at))
+                  for at, block in _json_field(record, "per_temperature",
+                                               where, list)]
+        recorded = {"quantity": _json_field(record, "quantity", where, str,
+                                            default="total"),
+                    "gaussian_floor": _json_field(
+                        record, "gaussian_floor_meV", where, default=0.0)}
+        if recorded["quantity"] not in ("total", "lorentzian"):
+            raise ParseError(f'{where}quantity must be "total" or '
+                             f'"lorentzian", got "{recorded["quantity"]}"')
+        for at, block in _json_field(record, "models", where, list, []):
+            params = _json_field(block, "params", at, dict, default={})
+            for name, key in _RECORD_KEYS.items():
+                if key in params:
+                    recorded[name] = _json_field(params, key, at + "params.")
+                    if not recorded[name] > 0:
+                        raise ParseError(f"{at}params.{key} must be > 0, "
+                                         f"got {params[key]}")
     else:
         _, columns = _read_table(text)
-        points, floor = list(zip(*columns.tolist())), None
+        points, recorded = list(zip(*columns.tolist())), {}
     for t, width in points:
         if width < 0 or (quantity == "total" and width == 0):
             raise ParseError(f"invalid {quantity} linewidth {width!r} at "
                              f"{t!r} K in {path}")
-    return points, floor, digest
+    return points, recorded, digest
 
 
 def _synthetic_grid(center, total_fwhm, n_points):

@@ -156,17 +156,26 @@ def test_compare_command_on_record_and_table(series_record, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("fix_fg", [[], ["--fix-fg", "0.5"]])
-def test_compare_on_a_record_ranks_what_series_ranked(synth_dir, tmp_path,
-                                                      fix_fg):
+_LORENTZIAN = ["--quantity", "lorentzian"]
+
+
+@pytest.mark.parametrize("series_flags,compare_flags", [
+    pytest.param(_LORENTZIAN, _LORENTZIAN, id="fix_fg0"),
+    pytest.param(_LORENTZIAN + ["--fix-fg", "0.5"],
+                 _LORENTZIAN + ["--fix-fg", "0.5"], id="fix_fg1"),
+    # compare takes the quantity and the shape values from the record
+    pytest.param(_LORENTZIAN + ["--theta-d", "350", "--phonon-energy", "25"],
+                 [], id="shape_record")])
+def test_compare_on_a_record_ranks_what_series_ranked(
+        synth_dir, tmp_path, series_flags, compare_flags):
     # compare splits the record's totals under the floor series split them
     # under, so it ranks the same Lorentzian parts, to the record's digits
     ranked, reranked = tmp_path / "series.json", tmp_path / "compare.json"
-    for argv in (["series", str(synth_dir / "series" / "series.json")],
-                 ["compare", str(ranked)]):
-        code, _, err = _run_in_process(argv + [
-            "--quantity", "lorentzian", "--quiet", *fix_fg,
-            "--output", str(reranked if argv[0] == "compare" else ranked)])
+    for argv in (["series", str(synth_dir / "series" / "series.json"),
+                  *series_flags, "--output", str(ranked)],
+                 ["compare", str(ranked), *compare_flags,
+                  "--output", str(reranked)]):
+        code, _, err = _run_in_process(argv + ["--quiet"])
         assert code == 0, err
     expected = json.loads(ranked.read_text())["models"]
     models = json.loads(reranked.read_text())["models"]
@@ -339,6 +348,13 @@ def test_exit_codes(tmp_path, monkeypatch):
         assert sum(line.startswith("error:")
                    for line in result.stderr.splitlines()) == 1
     assert not os.path.exists(out)
+    # a model kind given twice is one parse line, not a table that ranks it
+    # twice
+    result = run_cli("compare", str(four), "--models", "cubic_law",
+                     "cubic_law")
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == ("error: parse: model kinds repeat: "
+                             "cubic_law cubic_law\n")
     # synth writes no spectrum when it cannot finish: a zero temperature,
     # steps that ask for more temperatures than one run may write (0.26
     # gives 1,001 from 10 K to 270 K), an amplitude whose widths overflow,
@@ -451,9 +467,18 @@ _BLOCK = st.one_of(
                                      "lorentzian_fwhm_meV", "other"]),
                     st.one_of(st.floats(min_value=0.0, max_value=600.0),
                               _JSON_VALUE)))
+_PARAMS = st.dictionaries(
+    st.sampled_from(["debye_temperature_K", "phonon_energy_meV", "other"]),
+    st.one_of(st.floats(min_value=0.0, max_value=1e3), _JSON_VALUE))
+_MODEL = st.one_of(_JSON_VALUE, st.fixed_dictionaries(
+    {}, optional={"params": st.one_of(_JSON_VALUE, _PARAMS)}))
 _RECORD = st.fixed_dictionaries(
     {"per_temperature": st.one_of(_JSON_VALUE, st.lists(_BLOCK, max_size=8))},
-    optional={"gaussian_floor_meV": _JSON_VALUE})
+    optional={"gaussian_floor_meV": _JSON_VALUE,
+              "quantity": st.one_of(st.sampled_from(["total", "lorentzian"]),
+                                    _JSON_VALUE),
+              "models": st.one_of(_JSON_VALUE,
+                                  st.lists(_MODEL, max_size=3))})
 _TABLE = st.lists(st.one_of(st.tuples(_NUMBER_TEXT, _NUMBER_TEXT).map(",".join),
                             st.text(max_size=8)),
                   max_size=8).map("\n".join)
@@ -542,6 +567,9 @@ _JSON_VALUES = [
     ("record", None, "gaussian_floor_meV", float),
     ("record", "per_temperature", "temperature_K", float),
     ("record", "per_temperature", "total_fwhm_meV", float),
+    ("record", None, "quantity", str),
+    ("record", "models.params", "debye_temperature_K", float),
+    ("record", "models.params", "phonon_energy_meV", float),
 ]
 
 
@@ -553,9 +581,16 @@ def json_inputs(tmp_path_factory):
     manifest, _ = generate_synthetic_series(
         root, make_model("acoustic_debye", 6.82, gaussian_floor=0.72),
         temperatures=(10.0, 90.0, 170.0, 250.0), n_points=101, seed=5)
-    record = {"gaussian_floor_meV": 0.72, "per_temperature": [
-        {"temperature_K": t, "total_fwhm_meV": w}
-        for t, w in ((10.0, 0.72), (90.0, 1.1), (170.0, 2.6), (250.0, 5.3))]}
+    record = {"gaussian_floor_meV": 0.72, "quantity": "total",
+              "per_temperature": [
+                  {"temperature_K": t, "total_fwhm_meV": w} for t, w in (
+                      (10.0, 0.72), (90.0, 1.1), (170.0, 2.6), (250.0, 5.3))],
+              "models": [
+                  {"kind": "acoustic_debye",
+                   "params": {"debye_temperature_K": 600.0}},
+                  {"kind": "cubic_law", "params": {}},
+                  {"kind": "optical_mode",
+                   "params": {"phonon_energy_meV": 18.0}}]}
     (root / "record.json").write_text(json.dumps(record))
     for command, name in (("series", "series.json"), ("compare", "record.json")):
         assert _run_in_process([command, str(root / name), "--quiet"]) \
@@ -580,11 +615,14 @@ def test_json_value_of_the_wrong_type_is_one_parse_line(
     # may stand in for a number, nor a number for a string
     root, docs = json_inputs
     doc = json.loads(json.dumps(docs[file]))
-    target, where = doc, key
-    if container is not None:
-        target, where = doc[container], f"{container}.{key}"
+    target, where = doc, ""
+    for part in container.split(".") if container else ():
+        target, where = target[part], where + part
         if isinstance(target, list):
-            target, where = target[index], f"{container}[{index}].{key}"
+            item = index % len(target)
+            target, where = target[item], f"{where}[{item}]"
+        where += "."
+    where += key
     target[key] = data.draw(_WRONG_TYPE[kind])
     code, out, err = _run_with(root, file, doc)
     assert (code, out) == (1, "")
@@ -604,6 +642,22 @@ def test_manifest_and_record_shapes_are_parse_errors(json_inputs):
         assert message in err
     code, _, err = _run_with(root, "record", {"per_temperature": [1, 2, 3]})
     assert code == 1 and "per_temperature[0] must be an object" in err
+    # the settings a record holds: its quantity, its models and their shape
+    # values
+    for edit, message in (
+            ({"quantity": "gaussian"},
+             'quantity must be "total" or "lorentzian", got "gaussian"'),
+            ({"models": {}}, "models must be a list of objects"),
+            ({"models": [1]}, "models[0] must be an object"),
+            ({"models": [{"params": [600.0]}]},
+             "models[0].params must be an object"),
+            ({"models": [{}, {"params": {"debye_temperature_K": -5}}]},
+             "models[1].params.debye_temperature_K must be > 0, got -5"),
+            ({"models": [{"params": {"phonon_energy_meV": 0.0}}]},
+             "models[0].params.phonon_energy_meV must be > 0, got 0.0")):
+        code, out, err = _run_with(root, "record", {**docs["record"], **edit})
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: parse: ") and message in err
     # a number written as a JSON integer is still a number, and a shape key
     # left out still takes its default
     ints = {"emitter_id": "x", "metadata": {"theta_D_K": 600},
@@ -745,6 +799,22 @@ def test_shape_flags_override_manifest_and_defaults(tmp_path, monkeypatch):
     assert code == 0, err
     assert _shape_params(tmp_path / "cmp.json") == {
         "debye_temperature_K": 600.0, "phonon_energy_meV": 15.0}
+
+
+def test_compare_flags_win_over_the_record(synth_dir, tmp_path):
+    # the flags given replace the record's quantity and shape values
+    record, out = tmp_path / "record.json", tmp_path / "compare.json"
+    assert _run_in_process([
+        "series", str(synth_dir / "series" / "series.json"), "--theta-d",
+        "350", "--phonon-energy", "25", "--quantity", "lorentzian",
+        "--output", str(record), "--quiet"])[0] == 0
+    code, _, err = _run_in_process([
+        "compare", str(record), "--theta-d", "600", "--phonon-energy", "18",
+        "--quantity", "total", "--output", str(out), "--quiet"])
+    assert code == 0, err
+    assert json.loads(out.read_text())["quantity"] == "total"
+    assert _shape_params(out) == {"debye_temperature_K": 600.0,
+                                  "phonon_energy_meV": 18.0}
 
 
 def test_quiet_suppresses_summary(synth_dir):

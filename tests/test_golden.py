@@ -65,6 +65,11 @@ RUNS = [
     ("compare_shape", ["compare", "widths.csv", "--theta-d", "437.5",
                        "--phonon-energy", "23.1", "--fix-fg", "0.72",
                        "--output", "compare_shape.json"]),
+    ("series_shape_record", ["series", "demo/series.json", "--theta-d", "350",
+                             "--phonon-energy", "25", "--quantity",
+                             "lorentzian", "--output", "record_shape.json"]),
+    ("compare_shape_record", ["compare", "record_shape.json", "--output",
+                              "compare_shape_record.json"]),
 ]
 
 
@@ -126,7 +131,8 @@ def run_all(root):
 
 
 def _mismatches(expected, got):
-    lines = []
+    lines = [f"run {name}: recorded digests, but no such run"
+             for name in sorted(set(expected["runs"]) - set(got))]
     for name, _ in RUNS:
         want, have = expected["runs"].get(name), got[name]
         if want is None:

@@ -305,14 +305,19 @@ def test_series_record_round_trips_through_load_linewidths(tmp_path):
         n_points=201, seed=5)
     manifest = load_manifest(manifest_path)
     spectra = load_series(manifest)
-    result = analyze_series(spectra)
+    # every setting the series ranked with reads back, the shape values
+    # through the keys the model blocks are written with
+    result = analyze_series(spectra, quantity="lorentzian",
+                            debye_temperature=350.0, phonon_energy=25.0)
     record = tmp_path / "record.json"
     write_result_record(series_fit_record(manifest_path, manifest, spectra,
-                                          result, "total"), record)
-    points, floor, digest = load_linewidths(record, "total")
+                                          result, "lorentzian"), record)
+    points, recorded, digest = load_linewidths(record, "total")
     assert points == [(f.temperature, float(f"{f.total_fwhm:.12g}"))
                       for f in result.per_temperature]
-    assert floor == float(f"{result.gaussian_floor:.12g}")
+    assert recorded == {"quantity": "lorentzian",
+                        "gaussian_floor": float(f"{result.gaussian_floor:.12g}"),
+                        "debye_temperature": 350.0, "phonon_energy": 25.0}
     assert digest == hashlib.sha256(record.read_bytes()).hexdigest()
 
 

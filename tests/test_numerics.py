@@ -114,6 +114,13 @@ def test_quadrature_reports_non_convergence():
                                max_intervals=12)
 
 
+def _periodic_bump(x):
+    # period 1 on the position rounded to 2**-20, so that panels one period
+    # apart give the same bits and tie on their error bounds
+    u = np.round(np.mod(x, 1.0) * 2.0 ** 20) / 2.0 ** 20
+    return np.exp(-30.0 * (u - 0.3) ** 2)
+
+
 # (integrand, a, b, keyword arguments) of the tests above
 _QUADRATURE_CASES = [
     (lambda x: x * x, 0.0, 1.0, {}),
@@ -123,6 +130,9 @@ _QUADRATURE_CASES = [
     (_spike, 0.0, 1.0, {"rel_tol": 1e-12, "max_intervals": 12}),
     # about 1,000 bisections
     (lambda x: np.sin(200.0 * x) ** 2, 0.0, 10.0, {}),
+    # tied error bounds: bisecting the last of the maximal panels instead of
+    # the first moves the sum in its last bit
+    (_periodic_bump, 0.0, 4.0, {"rel_tol": 1e-5, "initial_intervals": 4}),
 ]
 
 
