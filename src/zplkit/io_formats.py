@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 SPECTRUM_HEADER = "# energy_meV,intensity"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_TEMPERATURES = tuple(float(t) for t in range(10, 271, 20))
 # peak counts peak_snr**2 stay below numpy's Poisson limit, about 9.2e18
@@ -138,8 +138,9 @@ def _json_field(obj, key, where, kind=float, default=None):
         raise ParseError(f"{where}{key} is missing")
     expected = {float: "a finite number", str: "a string", dict: "an object",
                 list: "a list of objects"}[kind]
-    raise ParseError(f"{where}{key} must be {expected}, "
-                     f"got {json.dumps(value)}")
+    text = json.dumps(value)  # a prefix keeps a huge value's line short
+    raise ParseError(f"{where}{key} must be {expected}, got {text[:40]}"
+                     + "..." * (len(text) > 40))
 
 
 def _parse_table(lines):
@@ -242,10 +243,20 @@ class ManifestEntry:
     path: str
 
 
-_MANIFEST_KEYS = {"debye_temperature": "theta_D_K",  # shape: manifest key
-                  "phonon_energy": "phonon_energy_meV"}
-_RECORD_KEYS = {"debye_temperature": "debye_temperature_K",  # shape: record key
-                "phonon_energy": "phonon_energy_meV"}
+_SHAPE_KEYS = {"debye_temperature": "theta_D_K",  # manifest and record keys
+               "phonon_energy": "phonon_energy_meV"}
+_RECORD_KEYS = {**_SHAPE_KEYS,  # a version-1 record's model params
+                "debye_temperature": "debye_temperature_K"}
+
+
+def _read_shape(block, where, keys=_SHAPE_KEYS):
+    """(shape name, value) of each of the `keys` in `block`, a number > 0."""
+    for name, key in keys.items():
+        if key in block:
+            value = _json_field(block, key, where)
+            if not value > 0:
+                raise ParseError(f"{where}{key} must be > 0, got {block[key]}")
+            yield name, value
 
 
 @dataclass(frozen=True)
@@ -280,7 +291,7 @@ def save_manifest(manifest, path):
         "entries": [{"temperature_K": e.temperature, "path": e.path}
                     for e in manifest.entries],
         "metadata": {key: manifest.shape[name]
-                     for name, key in _MANIFEST_KEYS.items()},
+                     for name, key in _SHAPE_KEYS.items()},
     }
     _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -299,8 +310,7 @@ def load_manifest(path) -> SeriesManifest:
         manifest = SeriesManifest(
             emitter_id=_json_field(doc, "emitter_id", where, str, default=""),
             entries=tuple(entries),
-            shape={name: _json_field(meta, key, f"{where}metadata.")
-                   for name, key in _MANIFEST_KEYS.items() if key in meta},
+            shape=dict(_read_shape(meta, f"{where}metadata.")),
             base_dir=os.path.dirname(os.path.abspath(path)),
             source_sha256=digest)
     except DomainError as exc:  # temperatures not positive or not unique
@@ -344,16 +354,18 @@ def _fit_block(fit):
     return {"temperature_K": fit.temperature, **keyed(fit.params),
             "total_fwhm_meV": fit.total_fwhm, "rss": fit.rss,
             "uncertainties": keyed(fit.uncertainties),
-            "n_points": fit.n_points, "n_iterations": fit.n_iterations,
-            "converged": True, "mode": fit.mode}  # unconverged fits raise
+            "n_points": fit.n_points, "n_iterations": fit.n_iterations}
 
 
-def _model_block(row):
-    m = row.model
-    params = {"amplitude": m.amplitude, "gaussian_floor_meV": m.gaussian_floor,
-              **{_RECORD_KEYS[name]: v for name, v in m.shape_values().items()}}
-    return {"kind": row.kind, "params": params, "rss": row.rss,
-            "n_free": row.n_free, "aic": row.aic, "delta_aic": row.delta_aic}
+def _ranking(rows):
+    """The model blocks, shared shape values and best kind of ranked `rows`."""
+    return {"models": [{"kind": row.kind,
+                        "params": {"amplitude": row.model.amplitude},
+                        "rss": row.rss, "n_free": row.n_free, "aic": row.aic,
+                        "delta_aic": row.delta_aic} for row in rows],
+            "shape": {_SHAPE_KEYS[name]: value for row in rows
+                      for name, value in row.model.shape_values().items()},
+            "best_model": rows[0].kind}
 
 
 def _provenance(path, digest, entries=()):
@@ -362,7 +374,7 @@ def _provenance(path, digest, entries=()):
     inputs = {os.path.basename(path): digest,
               **{e.path: s.source_sha256 for e, s in entries}}
     return {"inputs": {key: f"sha256:{d}" for key, d in inputs.items()},
-            "seed": None, "tool_version": __version__}
+            "tool_version": __version__}
 
 
 def single_fit_record(path, spectrum, fit, classification):
@@ -381,8 +393,7 @@ def series_fit_record(path, manifest, spectra, result, quantity):
     return {"kind": "series_fit", "emitter_id": manifest.emitter_id,
             "quantity": quantity, "gaussian_floor_meV": result.gaussian_floor,
             "per_temperature": [_fit_block(f) for f in result.per_temperature],
-            "models": [_model_block(row) for row in result.comparisons],
-            "best_model": result.best_model,
+            **_ranking(result.comparisons),
             "provenance": _provenance(path, manifest.source_sha256,
                                       zip(manifest.entries, spectra))}
 
@@ -390,9 +401,7 @@ def series_fit_record(path, manifest, spectra, result, quantity):
 def model_comparison_record(path, digest, rows, quantity, floor):
     """The `model_comparison` record of `rows`, ranked on `path`'s widths."""
     return {"kind": "model_comparison", "quantity": quantity,
-            "gaussian_floor_meV": floor,
-            "models": [_model_block(row) for row in rows],
-            "best_model": rows[0].kind,
+            "gaussian_floor_meV": floor, **_ranking(rows),
             "provenance": _provenance(path, digest)}
 
 
@@ -406,13 +415,13 @@ def write_result_record(record, path):
 def load_linewidths(path, quantity):
     """(T, linewidth) pairs, the settings the input recorded and the SHA-256
     hex digest of the file, from one read: a result record's total FWHMs
-    and {"quantity", "gaussian_floor", shape name: value} from it and its
-    models' params, or a `temperature_K,linewidth_meV` table's values as
-    they are and {}, `quantity` ("total" or "lorentzian") naming them.
+    and {"quantity", "gaussian_floor", shape name: value} from it (version
+    1: from its models' params), or a `temperature_K,linewidth_meV` table's
+    values as they are and {}, named by `quantity` ("total"/"lorentzian").
 
     Every value must be a finite number, a total linewidth and a shape value
     positive and a Lorentzian linewidth non-negative: fits of pure Gaussian
-    lines report f_L on its bound of zero.
+    lines report f_L on its bound of zero.  Version-1 models must agree.
     """
     text, digest = _read_text(path)
     try:
@@ -432,15 +441,21 @@ def load_linewidths(path, quantity):
                         record, "gaussian_floor_meV", where, default=0.0)}
         if recorded["quantity"] not in ("total", "lorentzian"):
             raise ParseError(f'{where}quantity must be "total" or '
-                             f'"lorentzian", got "{recorded["quantity"]}"')
-        for at, block in _json_field(record, "models", where, list, []):
+                             f'"lorentzian", got "{recorded["quantity"][:40]}"')
+        version = _json_field(record, "schema_version", where, default=1.0)
+        if version not in (1, 2):
+            raise ParseError(f"{where}unknown schema_version {version:g}")
+        if version == 2:
+            recorded.update(_read_shape(_json_field(
+                record, "shape", where, dict, default={}), f"{where}shape."))
+        for at, block in (_json_field(record, "models", where, list, [])
+                          if version == 1 else ()):
             params = _json_field(block, "params", at, dict, default={})
-            for name, key in _RECORD_KEYS.items():
-                if key in params:
-                    recorded[name] = _json_field(params, key, at + "params.")
-                    if not recorded[name] > 0:
-                        raise ParseError(f"{at}params.{key} must be > 0, "
-                                         f"got {params[key]}")
+            for name, value in _read_shape(params, at + "params.", _RECORD_KEYS):
+                if recorded.setdefault(name, value) != value:
+                    raise ParseError(f"{at}params.{_RECORD_KEYS[name]} is "
+                                     f"{value:g}, another model's "
+                                     f"{recorded[name]:g}")
     else:
         _, columns = _read_table(text)
         points, recorded = list(zip(*columns.tolist())), {}

@@ -177,14 +177,15 @@ def test_compare_on_a_record_ranks_what_series_ranked(
                   "--output", str(reranked)]):
         code, _, err = _run_in_process(argv + ["--quiet"])
         assert code == 0, err
-    expected = json.loads(ranked.read_text())["models"]
-    models = json.loads(reranked.read_text())["models"]
+    expected = json.loads(ranked.read_text())
+    got = json.loads(reranked.read_text())
+    for key in ("quantity", "gaussian_floor_meV", "shape"):
+        assert got[key] == expected[key]
+    models, expected = got["models"], expected["models"]
     assert [m["kind"] for m in models] == [m["kind"] for m in expected]
     for model, want in zip(models, expected):
-        params, want_params = model["params"], want["params"]
-        assert params["gaussian_floor_meV"] == want_params["gaussian_floor_meV"]
-        assert params["amplitude"] == pytest.approx(want_params["amplitude"],
-                                                    rel=1e-9)
+        assert model["params"]["amplitude"] == pytest.approx(
+            want["params"]["amplitude"], rel=1e-9)
         assert model["rss"] == pytest.approx(want["rss"], rel=1e-9)
 
 
@@ -472,9 +473,15 @@ _PARAMS = st.dictionaries(
     st.one_of(st.floats(min_value=0.0, max_value=1e3), _JSON_VALUE))
 _MODEL = st.one_of(_JSON_VALUE, st.fixed_dictionaries(
     {}, optional={"params": st.one_of(_JSON_VALUE, _PARAMS)}))
+_SHAPE = st.dictionaries(
+    st.sampled_from(["theta_D_K", "phonon_energy_meV", "other"]),
+    st.one_of(st.floats(min_value=0.0, max_value=1e3), _JSON_VALUE))
 _RECORD = st.fixed_dictionaries(
     {"per_temperature": st.one_of(_JSON_VALUE, st.lists(_BLOCK, max_size=8))},
-    optional={"gaussian_floor_meV": _JSON_VALUE,
+    optional={"schema_version": st.one_of(st.sampled_from([1, 2, 3]),
+                                          _JSON_VALUE),
+              "shape": st.one_of(_JSON_VALUE, _SHAPE),
+              "gaussian_floor_meV": _JSON_VALUE,
               "quantity": st.one_of(st.sampled_from(["total", "lorentzian"]),
                                     _JSON_VALUE),
               "models": st.one_of(_JSON_VALUE,
@@ -570,13 +577,16 @@ _JSON_VALUES = [
     ("record", None, "quantity", str),
     ("record", "models.params", "debye_temperature_K", float),
     ("record", "models.params", "phonon_energy_meV", float),
+    ("record", "shape", "theta_D_K", float),
+    ("record", "shape", "phonon_energy_meV", float),
 ]
 
 
 @pytest.fixture(scope="module")
 def json_inputs(tmp_path_factory):
-    """A directory with a valid 4-temperature manifest and a valid record,
-    and their documents; series and compare read both without error."""
+    """A directory with a valid 4-temperature manifest, a valid version-1
+    record and the same record at version 2, and their documents; series
+    and compare read each without error."""
     root = tmp_path_factory.mktemp("json")
     manifest, _ = generate_synthetic_series(
         root, make_model("acoustic_debye", 6.82, gaussian_floor=0.72),
@@ -591,12 +601,19 @@ def json_inputs(tmp_path_factory):
                   {"kind": "cubic_law", "params": {}},
                   {"kind": "optical_mode",
                    "params": {"phonon_energy_meV": 18.0}}]}
+    record_v2 = {**record, "schema_version": 2,
+                 "shape": {"theta_D_K": 600.0, "phonon_energy_meV": 18.0},
+                 "models": [{"kind": m["kind"], "params": {"amplitude": 1.0}}
+                            for m in record["models"]]}
     (root / "record.json").write_text(json.dumps(record))
-    for command, name in (("series", "series.json"), ("compare", "record.json")):
+    (root / "record_v2.json").write_text(json.dumps(record_v2))
+    for command, name in (("series", "series.json"), ("compare", "record.json"),
+                          ("compare", "record_v2.json")):
         assert _run_in_process([command, str(root / name), "--quiet"]) \
             == (0, "", "")
     with open(manifest, encoding="utf-8") as fh:
-        return root, {"manifest": json.load(fh), "record": record}
+        return root, {"manifest": json.load(fh), "record": record,
+                      "record_v2": record_v2}
 
 
 def _run_with(root, file, doc):
@@ -614,7 +631,9 @@ def test_json_value_of_the_wrong_type_is_one_parse_line(
     # a bool is an int in Python and "30" converts with float(): neither
     # may stand in for a number, nor a number for a string
     root, docs = json_inputs
-    doc = json.loads(json.dumps(docs[file]))
+    # a version-2 record holds its shape values in `shape`
+    doc = json.loads(json.dumps(docs["record_v2" if container == "shape"
+                                     else file]))
     target, where = doc, ""
     for part in container.split(".") if container else ():
         target, where = target[part], where + part
@@ -640,6 +659,11 @@ def test_manifest_and_record_shapes_are_parse_errors(json_inputs):
                                  {**manifest, "entries": entries})
         assert (code, err.count("\n")) == (1, 1)
         assert message in err
+    # a manifest's shape values are read as a record's are
+    code, _, err = _run_with(root, "manifest",
+                             {**manifest, "metadata": {"theta_D_K": 0}})
+    assert (code, err.count("\n")) == (1, 1)
+    assert "metadata.theta_D_K must be > 0, got 0" in err
     code, _, err = _run_with(root, "record", {"per_temperature": [1, 2, 3]})
     assert code == 1 and "per_temperature[0] must be an object" in err
     # the settings a record holds: its quantity, its models and their shape
@@ -654,8 +678,31 @@ def test_manifest_and_record_shapes_are_parse_errors(json_inputs):
             ({"models": [{}, {"params": {"debye_temperature_K": -5}}]},
              "models[1].params.debye_temperature_K must be > 0, got -5"),
             ({"models": [{"params": {"phonon_energy_meV": 0.0}}]},
-             "models[0].params.phonon_energy_meV must be > 0, got 0.0")):
+             "models[0].params.phonon_energy_meV must be > 0, got 0.0"),
+            # two models of a version-1 record that disagree on theta_D
+            ({"models": docs["record"]["models"] + [
+                {"kind": "acoustic_debye",
+                 "params": {"debye_temperature_K": 900}}]},
+             "models[3].params.debye_temperature_K is 900, another "
+             "model's 600"),
+            # a version that is not 1 or 2 is never read as either
+            ({"schema_version": 3}, "unknown schema_version 3"),
+            ({"schema_version": "2"},
+             'schema_version must be a finite number, got "2"'),
+            ({"schema_version": True},
+             "schema_version must be a finite number, got true")):
         code, out, err = _run_with(root, "record", {**docs["record"], **edit})
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: parse: ") and message in err
+    for edit, message in (
+            ({"shape": [600.0]}, "shape must be an object"),
+            ({"shape": {"theta_D_K": -5}},
+             "shape.theta_D_K must be > 0, got -5"),
+            ({"shape": {"phonon_energy_meV": 0.0}},
+             "shape.phonon_energy_meV must be > 0, got 0.0"),
+            ({"schema_version": 3}, "unknown schema_version 3")):
+        code, out, err = _run_with(root, "record",
+                                   {**docs["record_v2"], **edit})
         assert (code, out, err.count("\n")) == (1, "", 1)
         assert err.startswith("error: parse: ") and message in err
     # a number written as a JSON integer is still a number, and a shape key
@@ -668,6 +715,20 @@ def test_manifest_and_record_shapes_are_parse_errors(json_inputs):
     assert [e.temperature for e in loaded.entries] == [
         e["temperature_K"] for e in manifest["entries"]]
     assert loaded.shape == {"debye_temperature": 600.0, "phonon_energy": 18.0}
+
+
+def test_a_long_rejected_value_is_quoted_by_a_short_prefix(json_inputs):
+    # the one error line quotes the start of the value, not all of it
+    root, docs = json_inputs
+    for file, doc, key in (("record", "record", "models"),
+                           ("record", "record_v2", "shape"),
+                           ("record", "record", "quantity"),
+                           ("manifest", "manifest", "entries")):
+        code, out, err = _run_with(root, file,
+                                   {**docs[doc], key: "x" * 200_000})
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: parse: ") and f"{key} must be" in err
+        assert len(err.encode()) < 300
 
 
 # any finite flag value, huge ones included, and often a plausible one;
@@ -767,10 +828,7 @@ def test_every_package_error_is_one_line(tmp_path, monkeypatch, capsys):
 
 
 def _shape_params(path):
-    record = json.loads(path.read_text())
-    return {key: value for block in record["models"]
-            for key, value in block["params"].items()
-            if key in ("debye_temperature_K", "phonon_energy_meV")}
+    return json.loads(path.read_text())["shape"]
 
 
 def test_shape_flags_override_manifest_and_defaults(tmp_path, monkeypatch):
@@ -789,8 +847,7 @@ def test_shape_flags_override_manifest_and_defaults(tmp_path, monkeypatch):
                                         "--output", "rec.json", *flags])
         assert code == 0, err
         assert _shape_params(tmp_path / "rec.json") == {
-            "debye_temperature_K": expected[0],
-            "phonon_energy_meV": expected[1]}
+            "theta_D_K": expected[0], "phonon_energy_meV": expected[1]}
     # compare has no manifest: a flag left out takes the model default
     (tmp_path / "table.csv").write_text("10,0.75\n50,0.9\n100,1.6\n"
                                         "180,3.4\n270,6.9\n")
@@ -798,7 +855,7 @@ def test_shape_flags_override_manifest_and_defaults(tmp_path, monkeypatch):
                                     "15", "--output", "cmp.json"])
     assert code == 0, err
     assert _shape_params(tmp_path / "cmp.json") == {
-        "debye_temperature_K": 600.0, "phonon_energy_meV": 15.0}
+        "theta_D_K": 600.0, "phonon_energy_meV": 15.0}
 
 
 def test_compare_flags_win_over_the_record(synth_dir, tmp_path):
@@ -813,7 +870,7 @@ def test_compare_flags_win_over_the_record(synth_dir, tmp_path):
         "--quantity", "total", "--output", str(out), "--quiet"])
     assert code == 0, err
     assert json.loads(out.read_text())["quantity"] == "total"
-    assert _shape_params(out) == {"debye_temperature_K": 600.0,
+    assert _shape_params(out) == {"theta_D_K": 600.0,
                                   "phonon_energy_meV": 18.0}
 
 

@@ -9,6 +9,10 @@ SIMD sine.  An intended output change records the digests again, with
 `PYTHONPATH=src python tests/test_golden.py`, in the same change as the
 README note that versions it; a digest is never refreshed to make an
 unintended change pass.
+
+`golden/v1/` holds the two `series` records of these runs as the
+version-1 record format wrote them; `compare` must rank each as it ranks
+the current record of the same run.
 """
 
 import contextlib
@@ -21,11 +25,12 @@ import sys
 import tempfile
 
 import numpy as np
+import pytest
 
 from zplkit.cli import main
 
-DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
-                       "digests.json")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DIGESTS = os.path.join(GOLDEN, "digests.json")
 PLACEHOLDER = "<run>"
 
 # inputs the runs read besides what earlier runs write
@@ -130,6 +135,14 @@ def run_all(root):
     return results
 
 
+def _run(argv):
+    """main(argv)'s exit code and stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(list(argv))
+    return code, stdout.getvalue()
+
+
 def _mismatches(expected, got):
     lines = [f"run {name}: recorded digests, but no such run"
              for name in sorted(set(expected["runs"]) - set(got))]
@@ -150,16 +163,45 @@ def _mismatches(expected, got):
     return lines
 
 
-def test_cli_outputs_match_recorded_digests(tmp_path):
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """The run directory and the result of `run_all` in it."""
+    root = str(tmp_path_factory.mktemp("golden"))
+    return root, run_all(root)
+
+
+def test_cli_outputs_match_recorded_digests(golden_runs):
     with open(DIGESTS, encoding="utf-8") as fh:
         expected = json.load(fh)
-    got = run_all(str(tmp_path))
-    lines = _mismatches(expected, got)
+    lines = _mismatches(expected, golden_runs[1])
     assert not lines, "\n".join(
         lines + ["environment at recording: "
                  + json.dumps(expected["environment"], sort_keys=True),
                  "environment now: "
                  + json.dumps(environment(), sort_keys=True)])
+
+
+@pytest.mark.parametrize("record", ["record.json", "record_shape.json"])
+def test_compare_ranks_a_version_1_record_as_its_current_record(
+        golden_runs, record):
+    # the version-1 record holds its shape values in each model's params;
+    # the current record holds them once, under `shape`
+    root, _ = golden_runs
+    with open(os.path.join(GOLDEN, "v1", record), encoding="utf-8") as fh:
+        assert json.load(fh)["schema_version"] == 1
+    with open(os.path.join(root, record), encoding="utf-8") as fh:
+        assert json.load(fh)["schema_version"] == 2
+    for flags in ([], ["--quantity", "total"], ["--theta-d", "500"]):
+        ranked = []
+        for path in (os.path.join(GOLDEN, "v1", record),
+                     os.path.join(root, record)):
+            out = os.path.join(root, "v1_check.json")
+            code, stdout = _run(["compare", path, *flags, "--output", out])
+            with open(out, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            del doc["provenance"]  # the digest of a different input file
+            ranked.append((code, stdout, doc))
+        assert ranked[0] == ranked[1] and ranked[0][0] == 0, flags
 
 
 if __name__ == "__main__":

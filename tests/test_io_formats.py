@@ -10,14 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import synthetic_voigt_spectrum
 from zplkit import io_formats
 from zplkit.errors import DomainError, FormatError, ParseError
-from zplkit.fitting import (Spectrum, analyze_series, extract_components,
-                            fit_voigt)
+from zplkit.fitting import (ModelComparison, Spectrum, analyze_series,
+                            extract_components, fit_voigt)
 from zplkit.io_formats import (ManifestEntry, SeriesManifest,
                                generate_synthetic_series, load_linewidths,
                                load_manifest, load_series, load_spectrum,
-                               save_manifest, save_spectrum,
-                               series_fit_record, write_result_record)
-from zplkit.physics import AcousticDebye
+                               model_comparison_record, save_manifest,
+                               save_spectrum, series_fit_record,
+                               write_result_record)
+from zplkit.physics import MODEL_KINDS, AcousticDebye, make_model
 
 
 def test_spectrum_round_trip_is_byte_stable(tmp_path):
@@ -292,7 +293,7 @@ def test_result_record_round_trip_and_rounding(tmp_path):
     write_result_record(record, path)
     first = path.read_bytes()
     loaded = json.loads(path.read_text(encoding="utf-8"))
-    assert loaded["schema_version"] == 1
+    assert loaded["schema_version"] == 2
     assert loaded["value"] == float(f"{0.123456789012345678:.12g}")
     write_result_record(loaded, path)
     assert path.read_bytes() == first
@@ -319,6 +320,54 @@ def test_series_record_round_trips_through_load_linewidths(tmp_path):
                         "gaussian_floor": float(f"{result.gaussian_floor:.12g}"),
                         "debye_temperature": 350.0, "phonon_energy": 25.0}
     assert digest == hashlib.sha256(record.read_bytes()).hexdigest()
+
+
+_SHAPE_VALUE = st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.sets(st.sampled_from(list(MODEL_KINDS)), min_size=1),
+       quantity=st.sampled_from(["total", "lorentzian"]),
+       floor=st.floats(min_value=0.0, max_value=1e3),
+       debye_temperature=_SHAPE_VALUE, phonon_energy=_SHAPE_VALUE)
+def test_comparison_record_round_trips_its_settings(
+        kinds, quantity, floor, debye_temperature, phonon_energy):
+    # a record reads back the quantity, the floor and the shape values of
+    # the models it ranked, to its 12 significant digits
+    shape = {"debye_temperature": debye_temperature,
+             "phonon_energy": phonon_energy}
+    rows = [ModelComparison(model=make_model(kind, 1.0, gaussian_floor=floor,
+                                             **shape),
+                            rss=1.0, n_free=1, n_iterations=1, aic=0.0,
+                            delta_aic=0.0) for kind in sorted(kinds)]
+    record = {**model_comparison_record("widths.csv", "0" * 64, rows,
+                                        quantity, floor),
+              "per_temperature": [{"temperature_K": 10.0,
+                                   "total_fwhm_meV": 1.0}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "record.json")
+        write_result_record(record, path)
+        _, recorded, _ = load_linewidths(path, "total")
+    taken = {name for row in rows for name in row.model.shape}
+    assert recorded == {
+        "quantity": quantity, "gaussian_floor": float(f"{floor:.12g}"),
+        **{name: float(f"{shape[name]:.12g}") for name in taken}}
+
+
+def test_only_io_formats_names_a_record_key():
+    # the module that writes records and manifests is the one that reads
+    # them back: no other module spells one of their keys
+    keys = ("theta_D_K", "debye_temperature_K", "phonon_energy_meV",
+            "gaussian_floor_meV")
+    package = os.path.dirname(io_formats.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                text = fh.read()
+            named = [key for key in keys if key in text]
+            assert named == (list(keys) if name == "io_formats.py" else []), \
+                name
 
 
 def test_atomic_write_failure_leaves_target_and_no_temp_file(

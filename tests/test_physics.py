@@ -8,7 +8,7 @@ from oracles import cubic_asymptote, simpson_reduced_debye
 from zplkit import physics
 from zplkit.errors import DomainError
 from zplkit.fitting import ModelComparison, build_series_problem
-from zplkit.io_formats import _model_block, generate_synthetic_series
+from zplkit.io_formats import _ranking, generate_synthetic_series
 from zplkit.physics import (BOLTZMANN_MEV_PER_K, HBAR_MEV_PS, MODEL_KINDS,
                             AcousticDebye, CubicLaw, OpticalMode,
                             SHAPE_DEFAULTS, bose_einstein, debye_integral,
@@ -244,7 +244,7 @@ def test_make_model_kinds(tmp_path):
     assert isinstance(make_model("cubic_law", 1.0), CubicLaw)
     assert isinstance(make_model("optical_mode", 1.0), OpticalMode)
     temps = [0.0, 1.5, 10.0, 77.0, 150.0, 270.0, 412.7]
-    shape_keys = {"acoustic_debye": {"debye_temperature_K"},
+    shape_keys = {"acoustic_debye": {"theta_D_K"},
                   "cubic_law": set(), "optical_mode": {"phonon_energy_meV"}}
     for kind in MODEL_KINDS:
         unit = make_model(kind, 1.0)
@@ -255,10 +255,10 @@ def test_make_model_kinds(tmp_path):
         row = ModelComparison(model=make_model(kind, 2.0, gaussian_floor=0.5),
                               rss=1.0, n_free=1, n_iterations=1, aic=0.0,
                               delta_aic=0.0)
-        block = _model_block(row)
-        assert block["kind"] == row.kind == kind
-        assert set(block["params"]) == (
-            {"amplitude", "gaussian_floor_meV"} | shape_keys[kind])
+        ranking = _ranking([row])
+        assert ranking["models"][0]["kind"] == row.kind == kind
+        assert ranking["models"][0]["params"] == {"amplitude": 2.0}
+        assert set(ranking["shape"]) == shape_keys[kind]
     # a model without shape parameters still writes both manifest defaults
     manifest, _ = generate_synthetic_series(
         tmp_path, CubicLaw(3.5e-7, gaussian_floor=0.72),
